@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race recovery straggler hist failover elastic serve resilience cover bench experiments ablations examples fmt vet lint clean
+.PHONY: all build test race recovery straggler hist failover wire elastic serve resilience cover bench bench-smoke microbench experiments ablations examples fmt vet lint clean
 
 all: build test
 
@@ -49,6 +49,13 @@ failover:
 	$(GO) test -race ./internal/cluster/ -run 'TestLease|TestStandby|TestNoStandbyNoStreamTraffic'
 	$(GO) test -race ./internal/chaostest/ -run TestStandbyFailover
 
+# TCP wire path: the stream lifecycle tests (one gob stream per connection,
+# abandoned on any error), the TCP cluster and standby suites, and the
+# real-socket chaos equivalence cell, all under the race detector.
+wire:
+	$(GO) test -race ./internal/transport/ ./internal/cluster/ -run 'TCP|Standby'
+	$(GO) test -race ./internal/chaostest/ -run TestEquivalenceOverTCP
+
 # Elastic-fleet suite: membership protocol unit tests (live join, graceful
 # drain, fleet cap, generation fence), membership checkpoint records, and the
 # churn chaos cells (join under drops, drain mid-tree, join racing failover,
@@ -78,8 +85,19 @@ resilience:
 cover:
 	$(GO) test -cover ./internal/...
 
-# One testing.B benchmark per paper table plus per-package micro benches.
+# The repo's one benchmark (bench/README.md) and the only basis for a
+# performance claim: seven workloads, end-to-end metrics, results under
+# .tsbench_out/. bench-smoke runs the same seven at -tiny sizes and checks
+# correctness only.
 bench:
+	$(GO) run ./bench/tsbench all -seed 1
+
+bench-smoke:
+	$(GO) run ./bench/tsbench all -tiny -seconds 1
+
+# One testing.B benchmark per paper table plus per-package micro benches, for
+# measuring while you work.
+microbench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Regenerate the paper's evaluation tables at the default laptop scale.

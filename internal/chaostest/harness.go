@@ -16,6 +16,7 @@ import (
 
 	"treeserver/internal/cluster"
 	"treeserver/internal/core"
+	"treeserver/internal/dataset"
 	"treeserver/internal/gbt"
 	"treeserver/internal/obs"
 	"treeserver/internal/synth"
@@ -94,8 +95,8 @@ func failf(t *testing.T, cell Cell, chaos *transport.ChaosNetwork, format string
 	if cell.Raw || chaos == nil {
 		t.Fatalf("cell %q (raw fabric, data seed %d): %s", cell.Name, cell.Data.Seed, msg)
 	}
-	t.Fatalf("cell %q: %s\n\nREPRO seed=%d plan=%s\nre-run: go test -race ./internal/chaostest -run 'TestEquivalenceGrid/%s'\n\n%s",
-		cell.Name, msg, chaos.Seed(), chaos.Plan(), cell.Name, chaos.TraceTail(40))
+	t.Fatalf("cell %q: %s\n\nREPRO seed=%d plan=%s\nre-run: go test -race ./internal/chaostest -run '%s'\n\n%s",
+		cell.Name, msg, chaos.Seed(), chaos.Plan(), t.Name(), chaos.TraceTail(40))
 }
 
 // forestSpecs builds the cell's tree specs; the same specs drive both the
@@ -148,9 +149,21 @@ func Run(t *testing.T, cell Cell) {
 	}
 	defer c.Close()
 
+	assertEquivalent(t, cell, chaos, tbl, c)
+	verifyTelemetry(t, cell, chaos, reg)
+	if cell.Verify != nil {
+		cell.Verify(t, reg)
+	}
+}
+
+// assertEquivalent trains the cell's models on eng — any deployment of the
+// cluster, over any fabric — and diffs them bit-for-bit against the serial
+// trainer.
+func assertEquivalent(t *testing.T, cell Cell, chaos *transport.ChaosNetwork, tbl *dataset.Table, eng gbt.Engine) {
+	t.Helper()
 	// Forest: distributed vs core.TrainLocal, tree by tree.
 	specs := forestSpecs(cell, tbl.NumRows())
-	trees, err := c.Train(specs)
+	trees, err := eng.Train(specs)
 	if err != nil {
 		failf(t, cell, chaos, "distributed Train: %v", err)
 	}
@@ -168,7 +181,7 @@ func Run(t *testing.T, cell Cell) {
 		if err != nil {
 			failf(t, cell, chaos, "serial gbt.Train: %v", err)
 		}
-		dist, err := gbt.Train(c, tbl, gcfg)
+		dist, err := gbt.Train(eng, tbl, gcfg)
 		if err != nil {
 			failf(t, cell, chaos, "distributed gbt.Train: %v", err)
 		}
@@ -190,11 +203,6 @@ func Run(t *testing.T, cell Cell) {
 			failf(t, cell, chaos, "plan injected no faults — cell is not testing anything")
 		}
 		t.Logf("cell %q: seed=%d, %d messages traced, %d faults injected", cell.Name, chaos.Seed(), len(chaos.Trace()), chaos.Faults())
-	}
-
-	verifyTelemetry(t, cell, chaos, reg)
-	if cell.Verify != nil {
-		cell.Verify(t, reg)
 	}
 }
 

@@ -2,15 +2,18 @@ package cluster
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"treeserver/internal/checkpoint"
 	"treeserver/internal/core"
 	"treeserver/internal/dataset"
 	"treeserver/internal/loadbal"
 	"treeserver/internal/obs"
 	"treeserver/internal/synth"
 	"treeserver/internal/task"
+	"treeserver/internal/transport"
 )
 
 // standbyConfig is the shared deployment for the hot-standby tests: diskless
@@ -28,24 +31,103 @@ func standbyConfig() Config {
 	return cfg
 }
 
-// killAfterTrees starts the job, blocks until the primary has completed at
-// least n trees, then kills it without warning. Returns the Train error.
-func killAfterTrees(t *testing.T, c *Cluster, specs []TreeSpec, n int) error {
+// killGate is the event trigger for the mid-job master kills. Installed
+// through Config.WrapEndpoint, it decorates the first master endpoint only
+// (the promoted successor's goes through untouched) and watches the
+// primary's own traffic: once `trees` tree-done checkpoint records have left
+// for the standby it parks every task-plan send, so the job cannot advance,
+// let alone finish; lease traffic keeps flowing, and when `acks` lease acks
+// have also arrived it closes ready. The test then kills the master; the kill
+// closes the endpoint, which releases the parked sends into a dead fabric.
+type killGate struct {
+	trees, acks int
+	ready       chan struct{}
+
+	mu               sync.Mutex
+	taken, signalled bool
+	treesOut, acksIn int
+}
+
+func newKillGate(trees, acks int) *killGate {
+	return &killGate{trees: trees, acks: acks, ready: make(chan struct{})}
+}
+
+func (g *killGate) wrap(ep transport.Endpoint) transport.Endpoint {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if ep.Name() != MasterName || g.taken {
+		return ep
+	}
+	g.taken = true
+	return &gatedEndpoint{Endpoint: ep, gate: g, released: make(chan struct{})}
+}
+
+// note records one observed event and reports whether plans are parked.
+func (g *killGate) note(trees, acks int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.treesOut += trees
+	g.acksIn += acks
+	parked := g.treesOut >= g.trees
+	if parked && g.acksIn >= g.acks && !g.signalled {
+		g.signalled = true
+		close(g.ready)
+	}
+	return parked
+}
+
+type gatedEndpoint struct {
+	transport.Endpoint
+	gate      *killGate
+	released  chan struct{}
+	closeOnce sync.Once
+}
+
+func (e *gatedEndpoint) Send(to string, payload any) error {
+	switch msg := payload.(type) {
+	case ColumnPlanMsg, SubtreePlanMsg:
+		if e.gate.note(0, 0) {
+			<-e.released
+		}
+	case CkptRecordMsg:
+		err := e.Endpoint.Send(to, payload)
+		if err == nil && msg.Kind == checkpoint.KindTreeDone {
+			e.gate.note(1, 0)
+		}
+		return err
+	}
+	return e.Endpoint.Send(to, payload)
+}
+
+func (e *gatedEndpoint) Recv() (transport.Envelope, bool) {
+	env, ok := e.Endpoint.Recv()
+	if _, isAck := env.Payload.(LeaseAckMsg); isAck {
+		e.gate.note(0, 1)
+	}
+	return env, ok
+}
+
+func (e *gatedEndpoint) Close() error {
+	e.closeOnce.Do(func() { close(e.released) })
+	return e.Endpoint.Close()
+}
+
+// killAtGate starts the job, blocks until the gate (installed on c through
+// Config.WrapEndpoint) reports its precondition, then kills the primary
+// without warning. Returns the Train error.
+func killAtGate(t *testing.T, c *Cluster, specs []TreeSpec, g *killGate) error {
 	t.Helper()
 	trainErr := make(chan error, 1)
 	go func() {
 		_, err := c.Train(specs)
 		trainErr <- err
 	}()
-	deadline := time.After(30 * time.Second)
-	for c.Master.CompletedTrees() < n {
-		select {
-		case err := <-trainErr:
-			t.Fatalf("job finished before the kill (err=%v); slow the config down", err)
-		case <-deadline:
-			t.Fatalf("fewer than %d trees completed within 30s", n)
-		case <-time.After(time.Millisecond):
-		}
+	select {
+	case <-g.ready:
+	case err := <-trainErr:
+		t.Fatalf("job ended before the kill gate closed (err=%v)", err)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("kill precondition (%d tree-done records out, %d lease acks in) not reached within 30s", g.trees, g.acks)
 	}
 	c.KillMaster()
 	return <-trainErr
@@ -76,36 +158,18 @@ func TestStandbyFailoverDisklessBitIdentical(t *testing.T) {
 	specs := recoverySpecs(tbl.NumRows(), 8)
 
 	cfg := standbyConfig()
+	// Kill once two trees are replicated AND one lease renewal has been
+	// acked — so the test covers the renew/ack path, not just the initial
+	// grant.
+	gate := newKillGate(2, 1)
+	cfg.WrapEndpoint = gate.wrap
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 	if c.Master.cfg.CheckpointDir != "" {
 		t.Fatal("test misconfigured: failover must be diskless")
 	}
 
-	trainErr := make(chan error, 1)
-	go func() {
-		_, err := c.Train(specs)
-		trainErr <- err
-	}()
-	// Kill once at least two trees are replicated AND at least one lease
-	// renewal has been acked — so the test covers the renew/ack path, not
-	// just the initial grant.
-	deadline := time.After(30 * time.Second)
-	for {
-		s := cfg.Observer.Snapshot().Master
-		if c.Master.CompletedTrees() >= 2 && s.LeaseAcks >= 1 {
-			break
-		}
-		select {
-		case err := <-trainErr:
-			t.Fatalf("job finished before the kill (err=%v); slow the config down", err)
-		case <-deadline:
-			t.Fatal("kill precondition (2 trees + 1 lease ack) not reached within 30s")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	c.KillMaster()
-	if err := <-trainErr; err == nil {
+	if err := killAtGate(t, c, specs, gate); err == nil {
 		t.Fatal("killed Train returned nil error")
 	}
 	got := awaitFailover(t, c)
@@ -166,6 +230,8 @@ func TestStandbySetTargetAcrossFailover(t *testing.T) {
 	specs := recoverySpecs(tbl.NumRows(), 6)
 
 	cfg := standbyConfig()
+	gate := newKillGate(1, 0)
+	cfg.WrapEndpoint = gate.wrap
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -183,7 +249,7 @@ func TestStandbySetTargetAcrossFailover(t *testing.T) {
 		}
 	}
 
-	if err := killAfterTrees(t, c, specs, 1); err == nil {
+	if err := killAtGate(t, c, specs, gate); err == nil {
 		t.Fatal("killed Train returned nil error")
 	}
 	got := awaitFailover(t, c)

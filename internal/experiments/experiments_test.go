@@ -83,17 +83,9 @@ func TestTableIIcShape(t *testing.T) {
 }
 
 func TestTableIIINPoolShape(t *testing.T) {
-	// The paper's 3-6x n_pool effect comes from hiding network latency; in
-	// process the latency is microseconds, so the measurable effect is a
-	// modest improvement. Assert direction with tolerance at a scale where
-	// a tree is non-trivial (see EXPERIMENTS.md for the discussion).
-	r := TableIIINPool(Scale{BaseRows: 40000, Workers: 4, Compers: 4, Quick: true})
-	checkResult(t, r, 2)
-	first := parseSecs(t, r.Rows[0][1])
-	last := parseSecs(t, r.Rows[len(r.Rows)-1][1])
-	if last > first*1.15 {
-		t.Fatalf("larger n_pool slowed the job down: npool=1 %.3fs vs max pool %.3fs", first, last)
-	}
+	// Shape only. Whether a larger n_pool is faster is a timing question that
+	// flips under load on a small host; bench/tsbench judges timing.
+	checkResult(t, TableIIINPool(Scale{BaseRows: 40000, Workers: 4, Compers: 4, Quick: true}), 2)
 }
 
 func TestTableIIITauSweepsRun(t *testing.T) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 
 	"treeserver/internal/transport"
 )
@@ -39,9 +40,21 @@ func (e *Endpoint) Send(to string, payload any) error {
 	size := transport.PayloadSize(payload)
 	err := e.inner.Send(to, payload)
 	if err == nil {
-		e.reg.CountSend(e.inner.Name(), to, fmt.Sprintf("%T", payload), size)
+		e.reg.CountSend(e.inner.Name(), to, e.reg.typeLabel(payload), size)
 	}
 	return err
+}
+
+// typeLabel is fmt's %T of the payload, formatted once per concrete type:
+// the protocol has a few dozen message types and sends millions of messages.
+func (r *Registry) typeLabel(payload any) string {
+	t := reflect.TypeOf(payload)
+	if label, ok := r.labels.Load(t); ok {
+		return label.(string)
+	}
+	label := fmt.Sprintf("%T", payload)
+	r.labels.Store(t, label)
+	return label
 }
 
 // Recv implements transport.Endpoint. Deliveries are not re-counted (the

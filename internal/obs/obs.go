@@ -37,8 +37,9 @@ type Registry struct {
 	mu      sync.Mutex
 	workers map[int]*WorkerObs
 
-	links sync.Map // string "from→to" -> *LinkCounters
-	msgs  sync.Map // message type name -> *MsgCounters
+	links  sync.Map // string "from→to" -> *LinkCounters
+	msgs   sync.Map // message type name -> *MsgCounters
+	labels sync.Map // reflect.Type of a payload -> its message type name
 }
 
 // NewRegistry returns an empty registry with the uptime clock started.

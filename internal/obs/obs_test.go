@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -138,6 +139,13 @@ func TestCounterAllocs(t *testing.T) {
 		m.SetWorkerHealth(scores, states)
 	}); n != 0 {
 		t.Fatalf("SetWorkerHealth allocates %v per run after warm-up, want 0", n)
+	}
+	var payload any = pingMsg{N: 1}
+	if got, want := r.typeLabel(payload), fmt.Sprintf("%T", payload); got != want {
+		t.Fatalf("typeLabel = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = r.typeLabel(payload) }); n != 0 {
+		t.Fatalf("typeLabel allocates %v per run once cached, want 0", n)
 	}
 }
 

@@ -1,18 +1,40 @@
 package transport
 
 import (
-	"encoding/binary"
+	"bufio"
+	"encoding/gob"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
+
+// dialTimeout bounds one connection attempt, so a send to an unreachable
+// peer fails (transiently — the retry layer redials) instead of waiting out
+// the kernel's connect timeout.
+const dialTimeout = 3 * time.Second
 
 // TCPEndpoint is a transport endpoint backed by real TCP sockets, for
 // running master and workers as separate OS processes (cmd/treeserver).
-// Frames are length-prefixed: 4-byte big-endian name length + name, then
-// 4-byte payload length + gob payload.
+//
+// Every connection is one long-lived, one-directional gob stream — the design
+// codecPair gives the in-memory fabric. The dialer owns a persistent
+// gob.Encoder over a buffered writer on the socket; the accepting side's
+// readLoop owns the matching gob.Decoder. The stream's first value is the
+// sender's endpoint name (a string); every value after it is one wire{}
+// message, flushed to the socket in one write. gob sends each type's
+// definition once per stream, so only the first message of a kind pays for
+// it. There is no other framing.
+//
+// A stream is matched for life and abandoned on any error: an encode, flush
+// or decode failure closes that connection (its two codecs may disagree about
+// which types were defined), the sender drops it from its table, and the next
+// Send dials a fresh connection that starts a fresh stream. A message caught
+// by a failure is lost, like a frame on a dead NIC; the cluster's task-retry
+// layer heals that.
 type TCPEndpoint struct {
 	name     string
 	listener net.Listener
@@ -30,9 +52,38 @@ type TCPEndpoint struct {
 	wg        sync.WaitGroup
 }
 
+// tcpConn is the sending half of one stream. mu serialises whole messages:
+// one Encode plus one Flush per Send.
 type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	mu  sync.Mutex
+	c   net.Conn
+	bw  *bufio.Writer
+	enc *gob.Encoder
+	msg wire // reused so Encode's argument does not allocate per Send
+}
+
+// countedWriter and countedReader sit between the buffers and the socket, so
+// the Stats byte counters are the bytes the stream really carried.
+type countedWriter struct {
+	w io.Writer
+	n *atomic.Int64
+}
+
+func (c countedWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+type countedReader struct {
+	r io.Reader
+	n *atomic.Int64
+}
+
+func (c countedReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
 }
 
 // ListenTCP starts an endpoint listening on addr ("host:port", empty port
@@ -75,9 +126,7 @@ func (e *TCPEndpoint) AddPeer(name, addr string) {
 func (e *TCPEndpoint) RepointPeer(name, addr string) {
 	e.connMu.Lock()
 	if tc, ok := e.conns[name]; ok {
-		tc.mu.Lock()
 		tc.c.Close()
-		tc.mu.Unlock()
 		delete(e.conns, name)
 	}
 	e.peers[name] = addr
@@ -99,80 +148,71 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
+// readLoop decodes one inbound stream until it ends. bufio.Reader is an
+// io.ByteReader, so gob reads through it without adding a buffer of its own.
 func (e *TCPEndpoint) readLoop(c net.Conn) {
 	defer e.wg.Done()
 	defer c.Close()
-	for {
-		from, data, err := readFrame(c)
-		if err != nil {
-			return
+	dec := gob.NewDecoder(bufio.NewReader(countedReader{c, &e.bytesRecvd}))
+	var from string
+	var msg wire
+	err := dec.Decode(&from)
+	for err == nil {
+		if err = dec.Decode(&msg); err == nil {
+			e.msgsRecvd.Add(1)
+			if !e.box.put(Envelope{From: from, Payload: msg.Payload}) {
+				return
+			}
+			msg.Payload = nil // do not pin a bulk payload while the stream idles
 		}
-		payload, err := DecodePayload(data)
-		if err != nil {
-			return
-		}
-		e.msgsRecvd.Add(1)
-		e.bytesRecvd.Add(int64(len(data)))
-		if !e.box.put(Envelope{From: from, Payload: payload}) {
-			return
-		}
+	}
+	// A clean EOF between messages is the peer hanging up. Anything else
+	// abandons the stream, and whatever was in flight on it is lost.
+	if err != io.EOF && !e.closed.Load() {
+		log.Printf("transport: %q: abandoning stream from %q (%s): %v", e.name, from, c.RemoteAddr(), err)
 	}
 }
 
-func readFrame(r io.Reader) (from string, payload []byte, err error) {
-	var nameLen, payloadLen uint32
-	if err = binary.Read(r, binary.BigEndian, &nameLen); err != nil {
-		return
-	}
-	if nameLen > 1<<16 {
-		return "", nil, fmt.Errorf("transport: name frame too large: %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err = io.ReadFull(r, name); err != nil {
-		return
-	}
-	if err = binary.Read(r, binary.BigEndian, &payloadLen); err != nil {
-		return
-	}
-	if payloadLen > 1<<30 {
-		return "", nil, fmt.Errorf("transport: payload frame too large: %d", payloadLen)
-	}
-	payload = make([]byte, payloadLen)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return
-	}
-	return string(name), payload, nil
-}
-
-func writeFrame(w io.Writer, from string, payload []byte) error {
-	if err := binary.Write(w, binary.BigEndian, uint32(len(from))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, from); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.BigEndian, uint32(len(payload))); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func (e *TCPEndpoint) dial(to string) (*tcpConn, error) {
+// conn returns the stream to a peer, dialling it if there is none. The dial
+// happens outside connMu so an unreachable peer cannot stall sends to the
+// others; when two senders race, the first connection stored wins and the
+// loser's is closed unused.
+func (e *TCPEndpoint) conn(to string) (*tcpConn, error) {
 	e.connMu.Lock()
-	defer e.connMu.Unlock()
-	if tc, ok := e.conns[to]; ok {
+	tc, ok := e.conns[to]
+	addr, known := e.peers[to]
+	e.connMu.Unlock()
+	if ok {
 		return tc, nil
 	}
-	addr, ok := e.peers[to]
-	if !ok {
+	if !known {
 		return nil, fmt.Errorf("transport: %w: peer %q", ErrUnknownEndpoint, to)
 	}
-	c, err := net.Dial("tcp", addr)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %q at %s: %w", to, addr, err)
 	}
-	tc := &tcpConn{c: c}
+	tc = &tcpConn{c: c, bw: bufio.NewWriter(countedWriter{c, &e.bytesSent})}
+	tc.enc = gob.NewEncoder(tc.bw)
+	if err := tc.enc.Encode(e.name); err != nil { // buffered; leaves with the first message
+		c.Close()
+		return nil, fmt.Errorf("transport: open stream to %q: %w", to, err)
+	}
+
+	e.connMu.Lock()
+	defer e.connMu.Unlock()
+	if first, raced := e.conns[to]; raced {
+		c.Close()
+		return first, nil
+	}
+	if e.closed.Load() { // Close has swept conns already and would miss this one
+		c.Close()
+		return nil, fmt.Errorf("transport: endpoint %q: %w", e.name, ErrClosed)
+	}
+	if e.peers[to] != addr { // RepointPeer ran while we were dialling the old address
+		c.Close()
+		return nil, fmt.Errorf("transport: peer %q moved from %s while dialling", to, addr)
+	}
 	e.conns[to] = tc
 	return tc, nil
 }
@@ -182,19 +222,20 @@ func (e *TCPEndpoint) Send(to string, payload any) error {
 	if e.closed.Load() {
 		return fmt.Errorf("transport: endpoint %q: %w", e.name, ErrClosed)
 	}
-	data, err := EncodePayload(payload)
-	if err != nil {
-		return err
-	}
-	tc, err := e.dial(to)
+	tc, err := e.conn(to)
 	if err != nil {
 		return err
 	}
 	tc.mu.Lock()
-	err = writeFrame(tc.c, e.name, data)
+	tc.msg.Payload = payload
+	err = tc.enc.Encode(&tc.msg)
+	tc.msg.Payload = nil
+	if err == nil {
+		err = tc.bw.Flush()
+	}
 	tc.mu.Unlock()
 	if err != nil {
-		// Drop the broken connection so a retry can redial.
+		// Abandon the stream so the next Send redials a fresh one.
 		e.connMu.Lock()
 		if e.conns[to] == tc {
 			delete(e.conns, to)
@@ -204,7 +245,6 @@ func (e *TCPEndpoint) Send(to string, payload any) error {
 		return fmt.Errorf("transport: send to %q: %w", to, err)
 	}
 	e.msgsSent.Add(1)
-	e.bytesSent.Add(int64(len(data)))
 	return nil
 }
 
@@ -226,7 +266,8 @@ func (e *TCPEndpoint) Close() error {
 	return nil
 }
 
-// Stats implements Endpoint.
+// Stats implements Endpoint. Bytes are counted at the socket, so they include
+// each stream's one-off sender name and type definitions.
 func (e *TCPEndpoint) Stats() Stats {
 	return Stats{
 		MsgsSent:      e.msgsSent.Load(),

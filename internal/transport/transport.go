@@ -6,6 +6,13 @@
 // optional bandwidth model reproduce network saturation) and a real TCP
 // network for multi-process deployments.
 //
+// Both carry messages on long-lived gob streams: a pooled encoder/decoder
+// pair in memory (codecPair), one stream per connection over TCP
+// (TCPEndpoint). gob sends a type's definition once per stream and caches the
+// compiled codec at both ends, so a stream must stay matched for life and is
+// abandoned on any error — the pair is dropped, the connection closed and
+// redialled — because its two ends may no longer agree on what was defined.
+//
 // The paper's two channel classes (Task Comm. master<->worker and Data
 // Comm. worker<->worker, Fig. 6) are both carried over this fabric; byte
 // accounting is separated per destination so experiments can report them
@@ -76,8 +83,10 @@ type Endpoint interface {
 }
 
 // Stats counts an endpoint's traffic. Bytes measure the gob-encoded payload
-// size as a long-lived connection would carry it: type definitions are
-// counted when a type first crosses a stream and amortise to zero after.
+// size as a long-lived connection carries it: type definitions are counted
+// when a type first crosses a stream and amortise to zero after. The TCP
+// fabric counts at the socket, so its totals also include each stream's
+// one-off sender name.
 type Stats struct {
 	MsgsSent      int64
 	MsgsReceived  int64
@@ -139,9 +148,10 @@ type wire struct {
 }
 
 // EncodePayload gob-encodes a payload into a self-contained frame (type
-// definitions included), the format the TCP fabric ships. Per-frame stream
-// setup is expensive; hot in-process paths use the pooled codec pairs below
-// instead.
+// definitions included), for callers that need one value as bytes. Neither
+// fabric ships this format: building a stream per frame is expensive, so the
+// in-memory fabric uses the pooled codec pairs below and the TCP fabric one
+// stream per connection.
 func EncodePayload(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&wire{Payload: v}); err != nil {
