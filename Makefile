@@ -31,8 +31,9 @@ straggler:
 	$(GO) test -race ./internal/chaostest/ -run TestGrayFailure
 
 # Histogram training mode: sketch and kernel unit tests, the saturated
-# hist-vs-exact equivalence properties, and the hist chaos cell, all under
-# the race detector.
+# hist-vs-exact equivalence properties, the job-scoped worker histogram
+# cache (TestHistCacheScopedToJob), and the hist chaos cell, all under the
+# race detector. CI's hist job runs this target.
 hist:
 	$(GO) test -race ./internal/sketch/
 	$(GO) test -race ./internal/split/ -run 'TestHist|TestBinsFromSketch'

@@ -2,6 +2,7 @@ package chaostest
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,12 +22,80 @@ type failoverCell struct {
 	Cell
 	// KillAfterTrees >= 0 kills the primary once that many trees are complete
 	// and the job-start snapshot has been replicated. -1 never kills: the
-	// cell's partition starves the lease instead, so a still-running primary
-	// must be fenced out of the job (split-brain).
+	// cell's first partition starves the lease instead while a planGate holds
+	// the primary's task plans, so a still-running primary must be fenced out
+	// of the job (split-brain).
 	KillAfterTrees int
 	// WantFenced asserts the primary's Train error is the takeover fence
 	// (generation supersession / endpoint rebind) rather than a plain kill.
 	WantFenced bool
+}
+
+// planGate is the event trigger of the split-brain cell. Composed over the
+// chaos decorator, it wraps the first master endpoint only (the promoted
+// successor's goes through untouched) and counts the primary's sends to the
+// standby: once the partition's first cut message has gone out, every
+// task-plan send parks, so the job cannot advance, let alone finish, while
+// lease and checkpoint traffic keep flowing into the partition. The test
+// releases the parked sends when it observes the promotion — the workers
+// answer to the promoted master by then, so the primary must be fenced —
+// and closing the endpoint releases them too.
+type planGate struct {
+	fromSeq  int
+	released chan struct{}
+	once     sync.Once
+
+	mu        sync.Mutex
+	taken     bool
+	toStandby int
+}
+
+func newPlanGate(fromSeq int) *planGate {
+	return &planGate{fromSeq: fromSeq, released: make(chan struct{})}
+}
+
+func (g *planGate) wrap(ep transport.Endpoint) transport.Endpoint {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if ep.Name() != cluster.MasterName || g.taken {
+		return ep
+	}
+	g.taken = true
+	return &planGatedEndpoint{Endpoint: ep, gate: g}
+}
+
+// partitioned reports whether the partition has cut a primary->standby send.
+func (g *planGate) partitioned() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.toStandby > g.fromSeq
+}
+
+func (g *planGate) release() { g.once.Do(func() { close(g.released) }) }
+
+type planGatedEndpoint struct {
+	transport.Endpoint
+	gate *planGate
+}
+
+func (e *planGatedEndpoint) Send(to string, payload any) error {
+	switch payload.(type) {
+	case cluster.ColumnPlanMsg, cluster.SubtreePlanMsg:
+		if e.gate.partitioned() {
+			<-e.gate.released
+		}
+	}
+	if to == cluster.StandbyName {
+		e.gate.mu.Lock()
+		e.gate.toStandby++
+		e.gate.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, payload)
+}
+
+func (e *planGatedEndpoint) Close() error {
+	e.gate.release()
+	return e.Endpoint.Close()
 }
 
 func failoverCells() []failoverCell {
@@ -70,22 +139,22 @@ func failoverCells() []failoverCell {
 			KillAfterTrees: 2,
 		},
 		{
-			// Split-brain: the fabric cuts every primary<->standby link after
-			// the job-start records pass, while leaving the primary<->worker
-			// links healthy. The primary keeps training, the standby's watched
-			// lease lapses and it promotes anyway; the generation fence plus
-			// the endpoint rebind must discard the stale primary mid-flight
-			// and the promoted standby still finishes bit-identical.
-			// The link delays stretch the job well past the lease lapse so a
-			// real split-brain window exists: without them the primary would
-			// finish the whole forest before the standby's watchdog fires.
+			// Split-brain: the fabric cuts every primary<->standby link once
+			// the lease grant and job-start snapshot have passed, while leaving
+			// the primary<->worker links healthy. The primary keeps running,
+			// the standby's watched lease lapses and it promotes anyway; the
+			// generation fence plus the endpoint rebind must discard the stale
+			// primary mid-flight and the promoted standby still finishes
+			// bit-identical. The plan gate holds the primary's task plans from
+			// the moment the partition is active until the promotion, so the
+			// primary cannot finish the forest first however fast it trains.
 			Cell: Cell{Name: "failover-split-brain", Seed: 53, Data: data, Cluster: cfg,
 				Plan: transport.FaultPlan{Name: "split-brain",
 					Links: []transport.LinkFault{
 						{From: "*", To: "*", Delay: 500 * time.Microsecond, Jitter: 500 * time.Microsecond}},
 					Partitions: []transport.Partition{
 						{A: []string{cluster.MasterName}, B: []string{cluster.StandbyName},
-							FromSeq: 6, UntilSeq: 1 << 30}}},
+							FromSeq: 4, UntilSeq: 1 << 30}}},
 				ExpectFaults: true, Trees: 6, Bag: 1600, MaxDepth: 8},
 			KillAfterTrees: -1,
 			WantFenced:     true,
@@ -122,9 +191,15 @@ func runFailover(t *testing.T, cell failoverCell) {
 	if cfg.CheckpointDir != "" {
 		t.Fatal("failover cells must be diskless: the stream is the only recovery state")
 	}
+	var gate *planGate
 	if !cell.Raw {
 		chaos = transport.NewChaosNetwork(cell.Seed, cell.Plan)
 		cfg.WrapEndpoint = chaos.Wrap
+		if cell.KillAfterTrees < 0 {
+			gate = newPlanGate(cell.Plan.Partitions[0].FromSeq)
+			defer gate.release()
+			cfg.WrapEndpoint = func(ep transport.Endpoint) transport.Endpoint { return gate.wrap(chaos.Wrap(ep)) }
+		}
 	}
 	reg := obs.NewRegistry()
 	cfg.Observer = reg
@@ -146,7 +221,7 @@ func runFailover(t *testing.T, cell failoverCell) {
 	// exercises the renew/ack path, not just the initial grant), and the
 	// crash point is reached — then fail-stop the primary. The split-brain
 	// cell needs no help: its partition activates on its own link sequence
-	// numbers.
+	// numbers, and its gate holds the primary back until the promotion.
 	var stallFrom time.Time
 	if cell.KillAfterTrees >= 0 {
 		deadline := time.After(time.Minute)
@@ -185,6 +260,9 @@ func runFailover(t *testing.T, cell failoverCell) {
 		}
 	}
 	stall := time.Since(stallFrom)
+	if gate != nil {
+		gate.release()
+	}
 	if stall > 20*time.Second {
 		failf(t, cell.Cell, chaos, "failover stall %v exceeds the 20s bound", stall)
 	}

@@ -234,3 +234,42 @@ func TestHistObsCounters(t *testing.T) {
 		t.Fatal("no histogram subtractions recorded on a deep classification tree")
 	}
 }
+
+// TestHistCacheScopedToJob is the cache's memory bound across jobs: every
+// entry is keyed by a task ID of the job that filled it, so after N identical
+// hist jobs the workers must hold no more cached histograms than one job
+// leaves behind — not N jobs' worth waiting for FIFO eviction.
+func TestHistCacheScopedToJob(t *testing.T) {
+	tbl := synth.GenerateTrain(synth.Spec{Name: "hist-jobs", Rows: 1500, NumNumeric: 4,
+		NumClasses: 2, ConceptDepth: 4, Seed: 78})
+	c := newTestCluster(t, tbl, histConfig(32, 2))
+	defer c.Close()
+	params := core.Defaults()
+	params.MaxDepth = 6
+	population := func() int {
+		n := 0
+		for _, w := range c.Workers {
+			w.histCache.mu.Lock()
+			n += len(w.histCache.fifo)
+			w.histCache.mu.Unlock()
+		}
+		return n
+	}
+	if _, err := c.TrainOne(params); err != nil {
+		t.Fatalf("job 1: %v", err)
+	}
+	one := population()
+	if one == 0 {
+		t.Fatal("a hist job cached no node histograms")
+	}
+	for job := 2; job <= 5; job++ {
+		if _, err := c.TrainOne(params); err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+	}
+	got := population()
+	t.Logf("cached node histograms: %d after one job, %d after five", one, got)
+	if got > one {
+		t.Fatalf("%d cached histograms after 5 jobs, one job leaves %d", got, one)
+	}
+}

@@ -178,6 +178,7 @@ type shipSpec struct {
 	maxExh        int
 	hist          bool // histogram-mode column task (top-k vote protocol)
 	topK          int
+	job           int64 // Master.job
 }
 
 // mtask is the master-side task table entry: the plan, the work spec, and
@@ -228,6 +229,7 @@ type Master struct {
 
 	results   []*core.Tree
 	remaining int
+	job       int64 // numbers this master's jobs (Train and Resume), from 1
 	jobErr    error
 	jobDone   chan struct{}
 	jobMu     sync.Mutex
@@ -515,6 +517,7 @@ func (m *Master) Train(specs []TreeSpec) ([]*core.Tree, error) {
 	}
 
 	m.mu.Lock()
+	m.job++
 	m.results = make([]*core.Tree, len(specs))
 	m.remaining = len(specs)
 	m.jobErr = nil
@@ -695,6 +698,7 @@ func (m *Master) assignAndSend(p *plan) {
 		// raw values, not bins.
 		hist: m.cfg.SplitMode == SplitHist && p.kind == task.ColumnTask && !randomDraw,
 		topK: m.cfg.TopK,
+		job:  m.job,
 	}
 	now := time.Now()
 	as := newAttemptState(p.kind, attempt, false, assignment, now, spec.hist)
@@ -758,7 +762,7 @@ func (m *Master) shipAttempt(p *plan, spec shipSpec, attempt int, assignment loa
 			Cols: wcols, Parent: p.parent,
 			Measure: spec.measure, NumClasses: spec.numClasses, MaxExh: spec.maxExh,
 			Random: spec.random, RandomSeed: spec.drawSeed,
-			Hist: spec.hist, TopK: spec.topK,
+			Hist: spec.hist, TopK: spec.topK, Job: spec.job,
 			Rows: p.rows,
 		})
 	}

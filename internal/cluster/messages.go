@@ -188,6 +188,11 @@ type ColumnPlanMsg struct {
 	// most TopK candidates instead of a ColumnResultMsg.
 	Hist bool
 	TopK int
+	// Job numbers the master's job the plan belongs to. Workers scope their
+	// node-histogram cache to it on hist plans: the first plan of a different
+	// job clears the cache, whose entries are keyed by the finished job's
+	// task IDs and would never be read again.
+	Job int64
 	// Rows is only set in the relay-rows ablation, where the master ships
 	// I_x itself instead of pointing at the parent's delegate worker.
 	Rows []int32

@@ -146,6 +146,7 @@ func (m *Master) resumeFrom(st *checkpoint.State, info checkpoint.LoadInfo) ([]*
 	// with an entry in the new task table.
 	m.gen = st.Gen + 1
 	m.nextTaskID = task.ID(m.gen << 40)
+	m.job++
 	m.nextTreeID = st.NextTreeID
 	m.placement = st.Placement
 	if st.NumWorkers > m.cfg.NumWorkers {

@@ -372,6 +372,7 @@ func (w *Worker) handleColumnPlan(msg ColumnPlanMsg) {
 	w.mu.Unlock()
 	compute := w.computeColumnTask
 	if msg.Hist {
+		w.histCache.enterJob(msg.Job)
 		compute = w.computeColumnTaskHist
 	}
 	if msg.Rows != nil { // relay-rows ablation: I_x arrived with the plan

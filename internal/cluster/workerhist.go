@@ -63,12 +63,15 @@ type histCacheEntry struct {
 }
 
 // histCache is the bounded per-worker node-histogram cache backing histogram
-// subtraction and the master's post-election fetches. Cached histograms are
+// subtraction and the master's post-election fetches. It is scoped to one job
+// (see ColumnPlanMsg.Job): a histogram is only ever read by its own task's
+// fetch and by its sibling, both within the job. Cached histograms are
 // immutable and owned by the cache: eviction drops the reference for the GC
 // rather than returning it to the hist pool, because an evicted histogram may
 // still be held by a reader.
 type histCache struct {
 	mu      sync.Mutex
+	job     int64 // the job whose plans are filling the cache
 	entries map[histKey]*histCacheEntry
 	fifo    []*histCacheEntry
 	cap     int
@@ -115,15 +118,7 @@ func (c *histCache) put(id task.ID, parent ParentRef, col int, h *split.Hist) {
 		c.entries[k] = e
 	}
 	c.fifo = append(c.fifo, e)
-	for len(c.fifo) > c.cap {
-		old := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		for _, k := range old.keys {
-			if c.entries[k] == old {
-				delete(c.entries, k)
-			}
-		}
-	}
+	c.evictLocked()
 }
 
 // resize re-bounds the cache for a new bin geometry, evicting oldest
@@ -131,8 +126,15 @@ func (c *histCache) put(id task.ID, parent ParentRef, col int, h *split.Hist) {
 func (c *histCache) resize(capacity int) {
 	c.mu.Lock()
 	c.cap = capacity
+	c.evictLocked()
+	c.mu.Unlock()
+}
+
+// evictLocked drops the oldest entries until the population fits the cap.
+func (c *histCache) evictLocked() {
 	for len(c.fifo) > c.cap {
 		old := c.fifo[0]
+		c.fifo[0] = nil // the backing array must not keep it alive
 		c.fifo = c.fifo[1:]
 		for _, k := range old.keys {
 			if c.entries[k] == old {
@@ -140,14 +142,32 @@ func (c *histCache) resize(capacity int) {
 			}
 		}
 	}
+}
+
+// enterJob scopes the cache to job: the first plan of a different job
+// clears it. Clearing only costs subtraction hits (a miss fills directly),
+// so it never changes a tree.
+func (c *histCache) enterJob(job int64) {
+	c.mu.Lock()
+	if job != c.job {
+		c.job = job
+		c.clearLocked()
+	}
 	c.mu.Unlock()
 }
 
 func (c *histCache) reset() {
 	c.mu.Lock()
-	c.entries = make(map[histKey]*histCacheEntry, mapHint(c.cap))
-	c.fifo = nil
+	c.clearLocked()
 	c.mu.Unlock()
+}
+
+// clearLocked empties the cache in place: the map and the FIFO keep their
+// storage for the next job instead of being reallocated.
+func (c *histCache) clearLocked() {
+	clear(c.entries)
+	clear(c.fifo)
+	c.fifo = c.fifo[:0]
 }
 
 // sortCandidates orders candidates best-first under the Better comparator.

@@ -5,6 +5,7 @@ import (
 
 	"treeserver/internal/dataset"
 	"treeserver/internal/synth"
+	"treeserver/internal/task"
 )
 
 func benchTable(rows int) *dataset.Table {
@@ -26,6 +27,46 @@ func BenchmarkTrainLocal10k(b *testing.B) {
 		if tree.NumNodes < 3 {
 			b.Fatal("degenerate tree")
 		}
+	}
+}
+
+// benchTree keeps benchmarked results alive so no call is optimised away.
+var benchTree *Tree
+
+// BenchmarkTrainLocalSubtree measures the shapes a subtree-task and the
+// serial forest trainer hand TrainLocal: a τ_D-row (default policy) table
+// gathered from a larger one, as a key worker assembles D_x; a 64-row task,
+// the small-task regime where per-task set-up dominates; and a bootstrap bag
+// over a full table whose SortIndex is already cached.
+func BenchmarkTrainLocalSubtree(b *testing.B) {
+	full := benchTable(40000)
+	gather := func(n int) *dataset.Table {
+		rows := make([]int32, n)
+		for i := range rows {
+			rows[i] = int32(i * (full.NumRows() / n))
+		}
+		return full.Gather(rows)
+	}
+	bagged := benchTable(10000)
+	for _, c := range bagged.Cols {
+		c.SortIndex()
+	}
+	cases := []struct {
+		name string
+		tbl  *dataset.Table
+		rows []int32
+	}{
+		{"gathered-tauD", gather(task.DefaultPolicy().TauD), dataset.AllRows(task.DefaultPolicy().TauD)},
+		{"task-64", gather(64), dataset.AllRows(64)},
+		{"bagged-cached", bagged, bootstrap(bagged.NumRows(), 1)},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchTree = TrainLocal(tc.tbl, tc.rows, Defaults())
+			}
+		})
 	}
 }
 

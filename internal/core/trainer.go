@@ -63,15 +63,21 @@ func (p Params) normalise(tbl *dataset.Table) Params {
 // TrainLocal builds a decision tree over the given rows of the table on a
 // single thread. This is exactly the computation a subtree-task performs on
 // its key worker after collecting D_x, and it is the serial reference the
-// distributed engine must agree with.
+// distributed engine must agree with. rows may repeat (bootstrap bags) and
+// come in any order; the caller's slice is not modified.
+//
+// Exact training sorts each numeric candidate column once, at the root, and
+// carries the order down the recursion (see presort), so no node sorts.
 func TrainLocal(tbl *dataset.Table, rows []int32, params Params) *Tree {
 	b := newBuilder(tbl, params)
 	b.scratch = split.GetScratch()
+	b.ps = getPresort()
 	defer func() {
 		split.PutScratch(b.scratch)
-		b.scratch = nil
+		putPresort(b.ps)
+		b.scratch, b.ps = nil, nil
 	}()
-	root := b.build(rows, 0)
+	root := b.build(b.ps.load(tbl, rows, b.numericCandidates()), 0)
 	return b.finish(root)
 }
 
@@ -87,14 +93,9 @@ type builder struct {
 	// scratch is the pooled split-kernel buffer set reused across every
 	// node of this (single-threaded) build.
 	scratch *split.Scratch
-	// rowSet is the per-tree membership multiset: populated with a node's
-	// rows before split search so dense nodes take the presorted fast path,
-	// then unwound after the node splits. Allocated lazily on the first
-	// dense node with a numeric candidate.
-	rowSet *dataset.RowSet
-	// hasNumeric records whether any candidate column is numeric; without
-	// one the RowSet bookkeeping buys nothing.
-	hasNumeric bool
+	// ps holds the node row buffer and, under exact training, every numeric
+	// candidate column's presorted runs.
+	ps *presort
 	// binned holds the per-candidate-column binned images when HistMaxBins
 	// selects the histogram splitter; nil under exact training.
 	binned map[int]*split.BinnedColumn
@@ -108,12 +109,6 @@ func newBuilder(tbl *dataset.Table, params Params) *builder {
 		rng:        rand.New(rand.NewSource(params.Seed)),
 		numClasses: tbl.NumClasses(),
 	}
-	for _, colIdx := range b.params.Candidates {
-		if tbl.Cols[colIdx].Kind == dataset.Numeric {
-			b.hasNumeric = true
-			break
-		}
-	}
 	if params.HistMaxBins > 0 && !params.ExtraTrees {
 		b.binned = make(map[int]*split.BinnedColumn, len(b.params.Candidates))
 		for _, colIdx := range b.params.Candidates {
@@ -123,6 +118,21 @@ func newBuilder(tbl *dataset.Table, params Params) *builder {
 		}
 	}
 	return b
+}
+
+// numericCandidates lists the numeric candidate columns the exact kernel
+// presorts, in candidate order; nil when nodes are scored some other way.
+func (b *builder) numericCandidates() []*dataset.Column {
+	if b.params.ExtraTrees || b.binned != nil {
+		return nil
+	}
+	var cols []*dataset.Column
+	for _, colIdx := range b.params.Candidates {
+		if col := b.tbl.Cols[colIdx]; col.Kind == dataset.Numeric {
+			cols = append(cols, col)
+		}
+	}
+	return cols
 }
 
 func (b *builder) finish(root *Node) *Tree {
@@ -208,52 +218,53 @@ func (b *builder) build(rows []int32, depth int) *Node {
 	if ShouldStop(b.tbl, rows, depth, b.params) {
 		return n
 	}
-	best := b.bestSplit(rows)
+	best := b.bestSplit(rows, depth)
 	if !best.Valid {
 		return n
 	}
 	col := b.tbl.Cols[best.Cond.Col]
 	n.Cond = &best.Cond
 	n.SeenCodes = SeenCodes(col, rows)
-	left, right := best.Cond.Partition(col, rows)
-	if len(left) == 0 || len(right) == 0 { // defensive: splitter guarantees both non-empty
+	nl := b.ps.partition(&best.Cond, col, rows, depth)
+	if nl == 0 || nl == len(rows) { // defensive: splitter guarantees both non-empty
 		n.Cond, n.SeenCodes = nil, nil
 		return n
 	}
-	n.Left = b.build(left, depth+1)
-	n.Right = b.build(right, depth+1)
+	b.ps.descend(depth, true)
+	n.Left = b.build(rows[:nl], depth+1)
+	b.ps.descend(depth, false)
+	n.Right = b.build(rows[nl:], depth+1)
 	return n
 }
 
-// bestSplit searches candidate columns for the best split at the node.
-// Dense nodes load the per-tree RowSet first so numeric columns walk their
-// presorted index; the set is unwound afterwards so the next sibling starts
-// clean (O(|rows|) per node, never O(tableRows)).
-func (b *builder) bestSplit(rows []int32) split.Candidate {
+// bestSplit searches candidate columns for the best split at the node. Under
+// exact training a numeric column is scored from its presorted run at this
+// depth; categorical columns take the row scan.
+func (b *builder) bestSplit(rows []int32, depth int) split.Candidate {
 	if b.params.ExtraTrees {
 		return b.randomSplit(rows)
 	}
 	if b.binned != nil {
 		return b.histSplit(rows)
 	}
-	var rs *dataset.RowSet
-	if b.hasNumeric && split.Dense(len(rows), b.tbl.NumRows()) {
-		if b.rowSet == nil {
-			b.rowSet = dataset.NewRowSet(b.tbl.NumRows())
-		}
-		rs = b.rowSet
-		rs.AddAll(rows)
-		defer rs.RemoveAll(rows)
-	}
+	runs := b.ps.frame(depth)
 	best := split.Candidate{}
 	for _, colIdx := range b.params.Candidates {
-		cand := split.FindBest(split.Request{
+		req := split.Request{
 			Col: b.tbl.Cols[colIdx], ColIdx: colIdx,
 			Y: b.tbl.Y(), Rows: rows,
 			Measure: b.params.Measure, NumClasses: b.numClasses,
 			MaxExhaustiveLevels: b.params.MaxExhaustiveLevels,
-			RowSet:              rs, Scratch: b.scratch,
-		})
+			Scratch:             b.scratch,
+		}
+		var cand split.Candidate
+		if req.Col.Kind == dataset.Numeric {
+			req.Rows = b.ps.run(runs[0])
+			cand = split.FindBestSorted(req, len(rows)-len(req.Rows))
+			runs = runs[1:]
+		} else {
+			cand = split.FindBest(req)
+		}
 		if cand.Better(best) {
 			best = cand
 		}

@@ -10,8 +10,8 @@ package dataset
 // impurity downstream. A RowSet holds whatever multiset its Add/AddAll calls
 // built.
 //
-// A RowSet is not safe for concurrent mutation; each tree builder or comper
-// owns one and reuses it across nodes via AddAll/RemoveAll pairs, which cost
+// A RowSet is not safe for concurrent mutation; each comper owns one and
+// reuses it across column-tasks via AddAll/RemoveAll pairs, which cost
 // O(|rows|) rather than the O(tableRows) of a full Reset.
 type RowSet struct {
 	counts []int32

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -102,6 +104,100 @@ func TestSortIndexConcurrentBuild(t *testing.T) {
 		for i := range results[0] {
 			if results[0][i] != results[g][i] {
 				t.Fatalf("goroutine %d saw a different permutation at %d", g, i)
+			}
+		}
+	}
+}
+
+// comparatorSortIndex is the closure-comparator SortIndex the radix sort
+// replaced, kept as the reference order: ascending value, ties (and −0/+0)
+// by row, missing rows last by row.
+func comparatorSortIndex(c *Column) []int32 {
+	idx := AllRows(len(c.Floats))
+	slices.SortFunc(idx, func(a, b int32) int {
+		am, bm := c.IsMissing(int(a)), c.IsMissing(int(b))
+		if am != bm {
+			if bm {
+				return -1
+			}
+			return 1
+		}
+		if !am {
+			va, vb := c.Floats[a], c.Floats[b]
+			if va < vb {
+				return -1
+			}
+			if va > vb {
+				return 1
+			}
+		}
+		return int(a) - int(b)
+	})
+	return idx
+}
+
+// specimenColumn draws values with heavy ties, both signed zeros, infinities,
+// a wide exponent range and missing cells.
+func specimenColumn(n int, seed int64) *Column {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]float64, n)
+	for i := range vals {
+		switch rng.Intn(10) {
+		case 0:
+			vals[i] = 0
+		case 1:
+			vals[i] = math.Copysign(0, -1)
+		case 2:
+			vals[i] = math.Inf(2*rng.Intn(2) - 1)
+		case 3:
+			vals[i] = float64(rng.Intn(5) - 2)
+		case 4:
+			vals[i] = math.NaN() // marked missing by NewNumeric
+		default:
+			vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		}
+	}
+	return NewNumeric("x", vals)
+}
+
+// TestSortIndexRadixMatchesComparator: the radix SortIndex is the comparator
+// order exactly, on both sides of the comparison-sort cutoff.
+func TestSortIndexRadixMatchesComparator(t *testing.T) {
+	for _, n := range []int{1, 7, radixCutoff - 1, radixCutoff, radixCutoff + 1, 20000} {
+		c := specimenColumn(n, int64(n))
+		got, want := c.SortIndex(), comparatorSortIndex(c)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: radix SortIndex differs from the comparator order", n)
+		}
+	}
+}
+
+// TestSorterOrderBags: Order returns the non-missing rows of a multiset in
+// (value, row) order with duplicates repeated, from unsorted input, on both
+// sides of the comparison-sort cutoff.
+func TestSorterOrderBags(t *testing.T) {
+	var s Sorter
+	for _, n := range []int{50, 5000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, m := range []int{n / 10, n} {
+			c := specimenColumn(n, int64(n+m))
+			bag := make([]int32, m)
+			for i := range bag {
+				bag[i] = int32(rng.Intn(n))
+			}
+			rank := make([]int, n)
+			for i, r := range comparatorSortIndex(c) {
+				rank[r] = i
+			}
+			var want []int32
+			for _, r := range bag {
+				if !c.IsMissing(int(r)) {
+					want = append(want, r)
+				}
+			}
+			slices.SortFunc(want, func(a, b int32) int { return rank[a] - rank[b] })
+			if got := s.Order(c, bag, nil); !slices.Equal(got, want) {
+				t.Fatalf("n=%d m=%d: Order differs from the reference", n, m)
 			}
 		}
 	}

@@ -92,7 +92,8 @@ func (r *Request) usePresorted() bool {
 //
 // Numeric columns have two equivalent paths: a presorted membership walk for
 // dense nodes (see Request.RowSet) and the classic sort+sweep for sparse row
-// subsets. Both feed the same boundary sweep, so they agree bit-for-bit.
+// subsets. Both feed the same boundary sweep, so they agree bit-for-bit with
+// each other and with FindBestSorted.
 func FindBest(req Request) Candidate {
 	s := req.Scratch
 	if s == nil {
@@ -242,12 +243,45 @@ func bestNumeric(req Request, rows []int32, s *Scratch) Candidate {
 	return sweepNumeric(req, vals, ys, fs, s)
 }
 
+// FindBestSorted is FindBest's numeric kernel for callers that keep each
+// node's rows presorted, as the serial trainer does: req.Rows must hold the
+// node's rows whose value in req.Col is not missing, in ascending (value, row)
+// order with duplicates adjacent, and missing counts the node's rows left out
+// for a missing value. One O(|Rows|) gather feeds the same sweep both FindBest
+// paths use, so all three agree bit-for-bit. req.RowSet is ignored.
+func FindBestSorted(req Request, missing int) Candidate {
+	s := req.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+	vals, ys, fs := s.numericBufs(len(req.Rows))
+	for _, r := range req.Rows {
+		vals = append(vals, req.Col.Floats[r])
+	}
+	if req.Y.Kind == dataset.Categorical {
+		for _, r := range req.Rows {
+			ys = append(ys, req.Y.Cats[r])
+		}
+	} else {
+		for _, r := range req.Rows {
+			fs = append(fs, req.Y.Floats[r])
+		}
+	}
+	s.vals, s.ys, s.fs = vals, ys, fs
+	if len(vals) < 2 {
+		return Candidate{}
+	}
+	return routeMissing(sweepNumeric(req, vals, ys, fs, s), missing)
+}
+
 // sweepNumeric evaluates every boundary between distinct values of the
-// already-sorted run with incremental accumulators — O(1) per row. Both
-// numeric paths funnel here, which is what makes them bit-for-bit equal.
+// already-sorted run with incremental accumulators — O(1) per row. Every
+// numeric path funnels here, which is what makes them bit-for-bit equal. The
+// best boundary is tracked as scalars (the first of equal minima wins, as
+// Candidate.Better rules within one column) and its Condition is built once.
 func sweepNumeric(req Request, vals []float64, ys []int32, fs []float64, s *Scratch) Candidate {
-	best := Candidate{}
 	n := len(vals)
+	best, bestImp := -1, 0.0
 	if req.Y.Kind == dataset.Categorical {
 		left, right := s.classCounters(req.NumClasses)
 		for _, y := range ys {
@@ -260,37 +294,34 @@ func sweepNumeric(req Request, vals []float64, ys []int32, fs []float64, s *Scra
 				continue
 			}
 			imp := impurity.WeightedSplit(left.N, left.Impurity(req.Measure), right.N, right.Impurity(req.Measure))
-			cand := Candidate{
-				Cond:     NewNumericCondition(req.ColIdx, midpoint(vals[i], vals[i+1]), false),
-				Impurity: imp, LeftN: left.N, RightN: right.N, Valid: true,
-			}
-			if cand.Better(best) {
-				best = cand
+			if best < 0 || imp < bestImp {
+				best, bestImp = i, imp
 			}
 		}
-		return best
-	}
-
-	var left, right impurity.MomentAccumulator
-	for _, f := range fs {
-		right.Add(f)
-	}
-	for i := 0; i < n-1; i++ {
-		left.Add(fs[i])
-		right.Remove(fs[i])
-		if vals[i] == vals[i+1] {
-			continue
+	} else {
+		var left, right impurity.MomentAccumulator
+		for _, f := range fs {
+			right.Add(f)
 		}
-		imp := impurity.WeightedSplit(left.N, left.Impurity(), right.N, right.Impurity())
-		cand := Candidate{
-			Cond:     NewNumericCondition(req.ColIdx, midpoint(vals[i], vals[i+1]), false),
-			Impurity: imp, LeftN: left.N, RightN: right.N, Valid: true,
-		}
-		if cand.Better(best) {
-			best = cand
+		for i := 0; i < n-1; i++ {
+			left.Add(fs[i])
+			right.Remove(fs[i])
+			if vals[i] == vals[i+1] {
+				continue
+			}
+			imp := impurity.WeightedSplit(left.N, left.Impurity(), right.N, right.Impurity())
+			if best < 0 || imp < bestImp {
+				best, bestImp = i, imp
+			}
 		}
 	}
-	return best
+	if best < 0 {
+		return Candidate{}
+	}
+	return Candidate{
+		Cond:     NewNumericCondition(req.ColIdx, midpoint(vals[best], vals[best+1]), false),
+		Impurity: bestImp, LeftN: best + 1, RightN: n - best - 1, Valid: true,
+	}
 }
 
 // midpoint returns a threshold strictly between lo and hi that keeps lo on

@@ -3,6 +3,7 @@ package split
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"treeserver/internal/dataset"
@@ -370,5 +371,42 @@ func TestMidpointStaysInInterval(t *testing.T) {
 		if m < c[0] || m >= c[1] {
 			t.Fatalf("midpoint(%g,%g) = %g escapes [lo,hi)", c[0], c[1], m)
 		}
+	}
+}
+
+// TestSweepFirstOfEqualMinimaWins: the scalar-best sweep keeps the first of
+// two boundaries with bit-equal impurity, as Candidate.Better rules within
+// one column, on every numeric path. Classes 0,1,1,0 make the boundaries
+// after 1 and after 3 mirror images; the one after 1 must win.
+func TestSweepFirstOfEqualMinimaWins(t *testing.T) {
+	x := dataset.NewNumeric("x", []float64{3, 1, 4, 2}) // unsorted rows
+	y := dataset.NewCategorical("y", []int32{1, 0, 0, 1}, []string{"a", "b"})
+	req := Request{Col: x, ColIdx: 0, Y: y, Rows: allRows(4), Measure: impurity.Gini, NumClasses: 2}
+	dense := req
+	dense.RowSet = dataset.RowSetOf(req.Rows, 4)
+	sorted := req
+	sorted.Rows = []int32{1, 3, 0, 2} // x order: 1, 2, 3, 4
+	for name, cand := range map[string]Candidate{
+		"sort+sweep": FindBest(req),
+		"presorted":  FindBest(dense),
+		"sorted-run": FindBestSorted(sorted, 0),
+	} {
+		if !cand.Valid || cand.Cond.Threshold != 1.5 || cand.LeftN != 1 || cand.RightN != 3 {
+			t.Fatalf("%s: got %v left=%d right=%d, want x <= 1.5 with 1|3", name, cand.Cond, cand.LeftN, cand.RightN)
+		}
+	}
+}
+
+// TestFindBestSortedRoutesMissing: the sorted-run kernel applies FindBest's
+// missing-value epilogue from the count it is given.
+func TestFindBestSortedRoutesMissing(t *testing.T) {
+	x := dataset.NewNumeric("x", []float64{1, math.NaN(), 2, 3, math.NaN(), 4})
+	y := dataset.NewCategorical("y", []int32{0, 1, 0, 1, 1, 1}, []string{"a", "b"})
+	req := Request{Col: x, ColIdx: 0, Y: y, Rows: allRows(6), Measure: impurity.Gini, NumClasses: 2}
+	want := FindBest(req)
+	req.Rows = []int32{0, 2, 3, 5}
+	got := FindBestSorted(req, 2)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FindBestSorted %+v, FindBest %+v", got, want)
 	}
 }

@@ -245,6 +245,9 @@ func TestHistMergeEqualsSingle(t *testing.T) {
 // once scratch, pool, and binned column are warm — numeric conditions carry
 // no slices, so the whole per-(node, column) kernel is allocation-free.
 func TestHistKernelZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
 	rng := rand.New(rand.NewSource(65))
 	n := 2000
 	colC := randNumericCol(rng, n, true)
