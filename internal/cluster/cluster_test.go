@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -384,6 +386,32 @@ func TestBagSpecDeterministicAndSorted(t *testing.T) {
 	}
 	if all.Size() != 5 || b.Size() != 500 {
 		t.Fatal("bag sizes wrong")
+	}
+}
+
+// TestBagSpecRowsMatchesSortedDraws: the counting pass emits exactly the
+// sorted multiset of the seed's draws, for samples smaller and larger than
+// the table, and Sample = 0 still means every row once.
+func TestBagSpecRowsMatchesSortedDraws(t *testing.T) {
+	for _, b := range []BagSpec{
+		{NumRows: 1, Sample: 3, Seed: 1},
+		{NumRows: 10, Sample: 4, Seed: 2},
+		{NumRows: 1000, Sample: 1000, Seed: 3},
+		{NumRows: 1000, Sample: 250, Seed: 4},
+		{NumRows: 300, Sample: 2000, Seed: 5},
+	} {
+		rng := rand.New(rand.NewSource(b.Seed))
+		want := make([]int32, b.Sample)
+		for i := range want {
+			want[i] = int32(rng.Intn(b.NumRows))
+		}
+		slices.Sort(want)
+		if got := b.Rows(); !slices.Equal(got, want) {
+			t.Fatalf("%+v: counting pass differs from the sorted draws", b)
+		}
+	}
+	if got := (BagSpec{NumRows: 7, Seed: 9}).Rows(); !slices.Equal(got, dataset.AllRows(7)) {
+		t.Fatalf("Sample = 0 bag = %v, want all rows", got)
 	}
 }
 

@@ -17,7 +17,6 @@ package cluster
 import (
 	"encoding/gob"
 	"math/rand"
-	"slices"
 
 	"treeserver/internal/core"
 	"treeserver/internal/dataset"
@@ -38,17 +37,23 @@ type BagSpec struct {
 }
 
 // Rows materialises the root row-index set. Bootstrap samples are sorted so
-// that training is order-deterministic.
+// that training is order-deterministic: each draw is counted per row, and
+// one pass over [0, NumRows) emits every row as often as it was drawn.
 func (b BagSpec) Rows() []int32 {
 	if b.Sample <= 0 {
 		return dataset.AllRows(b.NumRows)
 	}
 	rng := rand.New(rand.NewSource(b.Seed))
-	rows := make([]int32, b.Sample)
-	for i := range rows {
-		rows[i] = int32(rng.Intn(b.NumRows))
+	counts := make([]int32, b.NumRows)
+	for i := 0; i < b.Sample; i++ {
+		counts[rng.Intn(b.NumRows)]++
 	}
-	slices.Sort(rows)
+	rows := make([]int32, 0, b.Sample)
+	for r, c := range counts {
+		for ; c > 0; c-- {
+			rows = append(rows, int32(r))
+		}
+	}
 	return rows
 }
 

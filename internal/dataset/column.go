@@ -10,6 +10,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -51,10 +52,11 @@ type Column struct {
 	Levels []string  // categorical level names; nil for numeric columns
 	Miss   []uint64  // missing bitmap, bit i => row i is missing; nil if none
 
-	// sortIdx caches SortIndex's presorted permutation. It is unexported so
-	// gob transfers never ship it: a freshly received replica or gathered
-	// shard rebuilds the index lazily on first use.
-	sortIdx atomic.Pointer[[]int32]
+	// sortIdx caches SortIndex's presorted permutation and RunOrder's
+	// run-start bitmap. It is unexported so gob transfers never ship it: a
+	// freshly received replica or gathered shard rebuilds it lazily on first
+	// use.
+	sortIdx atomic.Pointer[sortCache]
 }
 
 // NewNumeric builds a numeric column over values. The slice is retained, not
@@ -98,13 +100,14 @@ func (c *Column) IsMissing(i int) bool {
 	return c.Miss[w]&(1<<(uint(i)&63)) != 0
 }
 
-// SetMissing marks row i as missing, growing the bitmap as needed.
+// SetMissing marks row i as missing, growing the bitmap as needed. The
+// bitmap's capacity grows geometrically, so marking rows in increasing order
+// costs amortised O(1) each.
 func (c *Column) SetMissing(i int) {
 	w := i >> 6
-	if w >= len(c.Miss) {
-		grown := make([]uint64, w+1)
-		copy(grown, c.Miss)
-		c.Miss = grown
+	if n := len(c.Miss); w >= n {
+		c.Miss = slices.Grow(c.Miss, w+1-n)[:w+1]
+		clear(c.Miss[n:])
 	}
 	c.Miss[w] |= 1 << (uint(i) & 63)
 }
@@ -155,10 +158,18 @@ func (c *Column) Gather(rows []int32) *Column {
 		}
 	}
 	if c.Miss != nil {
+		// Size the bitmap once, then trim it to the last set word so it is
+		// exactly what SetMissing row by row would have built.
+		miss := make([]uint64, (len(rows)+63)/64)
+		last := -1
 		for i, r := range rows {
 			if c.IsMissing(int(r)) {
-				out.SetMissing(i)
+				miss[i>>6] |= 1 << (uint(i) & 63)
+				last = i >> 6
 			}
+		}
+		if last >= 0 {
+			out.Miss = miss[:last+1]
 		}
 	}
 	return out

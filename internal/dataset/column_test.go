@@ -163,3 +163,58 @@ func TestByteSizePositive(t *testing.T) {
 		t.Fatal("byte size must be positive")
 	}
 }
+
+// TestGatherMissingBitmapSizedOnce: gathering a 100k-row column with 1 %
+// missing cells allocates the column, its values and its bitmap once each,
+// and the bitmap is exactly the one SetMissing row by row builds. Growing
+// the bitmap a word at a time made this quadratic.
+func TestGatherMissingBitmapSizedOnce(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(5))
+	c := NewNumeric("x", make([]float64, n))
+	for i := 0; i < n; i++ {
+		if rng.Intn(100) == 0 {
+			c.SetMissing(i)
+		}
+	}
+	rows := make([]int32, n)
+	for i, r := range rng.Perm(n) {
+		rows[i] = int32(r)
+	}
+	g := c.Gather(rows)
+	want := NewNumeric("x", make([]float64, n))
+	for i, r := range rows {
+		if c.IsMissing(int(r)) {
+			want.SetMissing(i)
+		}
+	}
+	if !reflect.DeepEqual(g.Miss, want.Miss) {
+		t.Fatal("gathered bitmap differs from the row-by-row reference")
+	}
+	if allocs := testing.AllocsPerRun(5, func() { c.Gather(rows) }); allocs > 3 {
+		t.Fatalf("Gather: %v allocs/op, want <= 3", allocs)
+	}
+	var present []int32
+	for r := int32(0); len(present) < 200; r++ {
+		if !c.IsMissing(int(r)) {
+			present = append(present, r)
+		}
+	}
+	if none := c.Gather(present); none.Miss != nil {
+		t.Fatal("gather with no missing rows kept a bitmap")
+	}
+}
+
+// TestSetMissingGrowsGeometrically: marking 1 % of 100k rows in increasing
+// order reallocates the bitmap O(log n) times, not once per word.
+func TestSetMissingGrowsGeometrically(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		c := &Column{Kind: Numeric}
+		for i := 0; i < 100_000; i += 100 {
+			c.SetMissing(i)
+		}
+	})
+	if allocs > 30 {
+		t.Fatalf("SetMissing over 1000 rows: %v allocs, want <= 30", allocs)
+	}
+}

@@ -2,7 +2,7 @@ package dataset
 
 // RowSet is a counted membership set over the rows of one table: counts[r]
 // is the multiplicity of row r in the current node's row set I_x. Split
-// finders walk a column's presorted SortIndex filtered through a RowSet to
+// finders walk a column's presorted RunOrder filtered through a RowSet to
 // evaluate dense nodes in O(tableRows) with no sorting and no allocation.
 //
 // Multiplicities matter: bootstrap bags sample rows with replacement, so a

@@ -13,19 +13,46 @@ import (
 // permutation filtered by node membership to evaluate numeric splits in O(n)
 // without re-sorting per node.
 //
-// The permutation is computed once per column and cached. Columns are
-// treated as immutable after construction (the repo never mutates values in
-// place), so the cache is never invalidated; gathered shards are fresh
-// Column objects and build their own index on first use.
+// The permutation is computed once per column and cached, together with the
+// run-start bitmap RunOrder returns. Columns are treated as immutable after
+// construction (the repo never mutates values in place), so the cache is
+// never invalidated; gathered shards are fresh Column objects and build
+// their own index on first use.
 //
 // Concurrent callers are safe: a race between two builders publishes one of
-// two identical permutations. Returns nil for categorical columns.
+// two identical caches. Returns nil for categorical columns.
 func (c *Column) SortIndex() []int32 {
 	if c.Kind != Numeric {
 		return nil
 	}
+	return c.sorted().idx
+}
+
+// RunOrder returns the column's non-missing rows in SortIndex order and a
+// bitmap over their positions: bit i of starts is set when order[i] begins a
+// new value run, that is, when its value differs from order[i-1]'s (always at
+// i = 0). −0 and +0 share a run, as they compare equal as float64s. A walk
+// over order can thus tell value boundaries apart without reading a value.
+// Returns nil, nil for categorical columns.
+func (c *Column) RunOrder() (order []int32, starts []uint64) {
+	if c.Kind != Numeric {
+		return nil, nil
+	}
+	sc := c.sorted()
+	return sc.idx[:sc.present], sc.starts
+}
+
+// sortCache is what SortIndex builds once per numeric column.
+type sortCache struct {
+	idx     []int32  // the SortIndex permutation
+	present int      // idx[:present] are the non-missing rows
+	starts  []uint64 // run-start bitmap over idx[:present]
+}
+
+// sorted returns the column's sort cache, building it on first use.
+func (c *Column) sorted() *sortCache {
 	if p := c.sortIdx.Load(); p != nil {
-		return *p
+		return p
 	}
 	s := sorterPool.Get().(*Sorter)
 	defer sorterPool.Put(s)
@@ -35,28 +62,37 @@ func (c *Column) SortIndex() []int32 {
 			a = append(a, keyRow{sortKey(v), int32(r)})
 		}
 	}
-	idx := make([]int32, 0, len(c.Floats))
-	for _, kr := range s.sort(a, true) {
-		idx = append(idx, kr.row)
+	a = s.sort(a, true)
+	sc := &sortCache{
+		idx:     make([]int32, 0, len(c.Floats)),
+		present: len(a),
+		starts:  make([]uint64, (len(a)+63)/64),
+	}
+	for i, kr := range a {
+		sc.idx = append(sc.idx, kr.row)
+		if i == 0 || kr.key != a[i-1].key {
+			sc.starts[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
 	for r := range c.Floats {
 		if c.IsMissing(r) {
-			idx = append(idx, int32(r))
+			sc.idx = append(sc.idx, int32(r))
 		}
 	}
-	c.sortIdx.Store(&idx)
-	return idx
+	c.sortIdx.Store(sc)
+	return sc
 }
 
 // HasSortIndex reports whether the presorted permutation has already been
 // built, without building it. Used by tests and memory accounting.
 func (c *Column) HasSortIndex() bool { return c.sortIdx.Load() != nil }
 
-// SortIndexBytes returns the memory footprint of the cached permutation:
-// 4 bytes per row once built, 0 before.
+// SortIndexBytes returns the memory footprint of the sort cache: 4 bytes
+// per row for the permutation plus the run-start bitmap once built, 0
+// before.
 func (c *Column) SortIndexBytes() int {
 	if p := c.sortIdx.Load(); p != nil {
-		return 4 * len(*p)
+		return 4*len(p.idx) + 8*len(p.starts)
 	}
 	return 0
 }

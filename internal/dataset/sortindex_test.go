@@ -47,8 +47,8 @@ func TestSortIndexRowTiebreakAndCaching(t *testing.T) {
 	if !c.HasSortIndex() {
 		t.Fatal("index not cached after build")
 	}
-	if c.SortIndexBytes() != 4*5 {
-		t.Fatalf("SortIndexBytes = %d, want 20", c.SortIndexBytes())
+	if c.SortIndexBytes() != 4*5+8 { // permutation + one run-start word
+		t.Fatalf("SortIndexBytes = %d, want 28", c.SortIndexBytes())
 	}
 	idx2 := c.SortIndex()
 	if &idx[0] != &idx2[0] {
@@ -200,5 +200,38 @@ func TestSorterOrderBags(t *testing.T) {
 				t.Fatalf("n=%d m=%d: Order differs from the reference", n, m)
 			}
 		}
+	}
+}
+
+// TestRunOrderFlagsValueChanges: RunOrder is SortIndex's non-missing prefix,
+// and its bitmap flags exactly the positions whose value differs from the
+// previous one as float64s, so −0 and +0 share a run.
+func TestRunOrderFlagsValueChanges(t *testing.T) {
+	for _, n := range []int{1, 7, 64, 65, 5000} {
+		c := specimenColumn(n, int64(3*n))
+		order, starts := c.RunOrder()
+		present := n - c.MissingCount()
+		if !slices.Equal(order, c.SortIndex()[:present]) {
+			t.Fatalf("n=%d: order is not the non-missing prefix of SortIndex", n)
+		}
+		if len(starts) != (present+63)/64 {
+			t.Fatalf("n=%d: %d bitmap words for %d rows", n, len(starts), present)
+		}
+		for i, r := range order {
+			want := i == 0 || c.Floats[r] != c.Floats[order[i-1]]
+			if got := starts[i>>6]>>(uint(i)&63)&1 == 1; got != want {
+				t.Fatalf("n=%d: run start at %d is %v, want %v", n, i, got, want)
+			}
+		}
+		if got := c.SortIndexBytes(); got != 4*n+8*len(starts) {
+			t.Fatalf("n=%d: SortIndexBytes = %d, want %d", n, got, 4*n+8*len(starts))
+		}
+	}
+	z := NewNumeric("z", []float64{0, math.Copysign(0, -1), 1})
+	if _, starts := z.RunOrder(); starts[0] != 0b101 {
+		t.Fatalf("signed zeros: run starts %b, want 101", starts[0])
+	}
+	if order, starts := NewCategorical("c", []int32{0}, []string{"a"}).RunOrder(); order != nil || starts != nil {
+		t.Fatal("categorical column returned a run order")
 	}
 }

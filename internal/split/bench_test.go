@@ -1,7 +1,9 @@
 package split
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treeserver/internal/dataset"
@@ -144,10 +146,10 @@ func TestFastPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestScratchReuseZeroAllocs: with a warmed Scratch, the sort+sweep fallback
-// must run allocation-free; the categorical kernels may allocate only the
-// winning Condition's owned LeftSet copy (it outlives the scratch), nothing
-// per evaluated subset.
+// TestScratchReuseZeroAllocs: with a warmed Scratch, the sparse numeric path
+// must run allocation-free, both above and below the Sorter's radix cutoff;
+// the categorical kernels may allocate only the winning Condition's owned
+// LeftSet copy (it outlives the scratch), nothing per evaluated subset.
 func TestScratchReuseZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	num, cat, ycls, yreg := benchColumns(4096, rng)
@@ -158,6 +160,8 @@ func TestScratchReuseZeroAllocs(t *testing.T) {
 		maxAllocs float64
 	}{
 		{"numeric-fallback", Request{Col: num, Y: ycls, Rows: rows, Measure: impurity.Gini, NumClasses: 2}, 0},
+		{"numeric-sparse-radix-reg", Request{Col: num, Y: yreg, Rows: rows, Measure: impurity.Variance}, 0},
+		{"numeric-sparse-small", Request{Col: num, Y: ycls, Rows: rows[:300], Measure: impurity.Gini, NumClasses: 2}, 0},
 		{"categorical-subset", Request{Col: cat, Y: ycls, Rows: rows, Measure: impurity.Gini, NumClasses: 2}, 1},
 		{"categorical-breiman-reg", Request{Col: cat, Y: yreg, Rows: rows, Measure: impurity.Variance}, 1},
 	}
@@ -201,6 +205,50 @@ func BenchmarkPartition(b *testing.B) {
 		l, r := cand.Cond.Partition(num, rows)
 		if len(l)+len(r) != len(rows) {
 			b.Fatal("partition lost rows")
+		}
+	}
+}
+
+// BenchmarkFindBestDensity times both numeric paths on nodes of a 100k-row
+// table at densities 0.01–1.0, for a class and a numeric target: the
+// run-flagged walk, whose cost follows the table, and the radix Order path,
+// whose cost follows the node. Each node is a sorted bootstrap-style sample
+// of density × 100k rows, as a bagged tree's nodes are. DensityThreshold
+// sits at the crossover.
+func BenchmarkFindBestDensity(b *testing.B) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(7))
+	num, _, ycls, yreg := benchColumns(n, rng)
+	num.SortIndex()
+	targets := []struct {
+		name    string
+		y       *dataset.Column
+		measure impurity.Measure
+		classes int
+	}{{"gini", ycls, impurity.Gini, 2}, {"variance", yreg, impurity.Variance, 0}}
+	for _, d := range []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1} {
+		rows := make([]int32, int(d*n))
+		for i := range rows {
+			rows[i] = int32(rng.Intn(n))
+		}
+		slices.Sort(rows)
+		rs := dataset.RowSetOf(rows, n)
+		for _, tg := range targets {
+			req := Request{Col: num, Y: tg.y, Rows: rows, Measure: tg.measure, NumClasses: tg.classes,
+				RowSet: rs, Scratch: new(Scratch)}
+			for _, path := range []struct {
+				name string
+				find func(Request, *Scratch) Candidate
+			}{{"walk", bestNumericPresorted}, {"order", bestNumericSorted}} {
+				b.Run(fmt.Sprintf("d=%g/%s/%s", d, tg.name, path.name), func(b *testing.B) {
+					path.find(req, req.Scratch) // warm the scratch
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						path.find(req, req.Scratch)
+					}
+				})
+			}
 		}
 	}
 }

@@ -96,8 +96,7 @@ func TestPresortedMatchesFallbackExactly(t *testing.T) {
 		fallback := FindBest(base)
 
 		fast := base
-		fast.RowSet = dataset.RowSetOf(rows, n)
-		fast.MinDensity = 1e-9 // force the presorted path regardless of density
+		fast.RowSet = dataset.RowSetOf(rows, n) // randRows draws dense nodes only
 		fast.Scratch = scratch
 		if !fast.usePresorted() && len(rows) >= 2 {
 			t.Fatalf("trial %d: fast path did not engage", trial)
@@ -151,7 +150,6 @@ func TestPresortedAndFallbackMatchBrute(t *testing.T) {
 		fallback := FindBest(base)
 		fast := base
 		fast.RowSet = dataset.RowSetOf(rows, n)
-		fast.MinDensity = 1e-9
 		fast.Scratch = scratch
 		pres := FindBest(fast)
 

@@ -3,13 +3,14 @@ package split
 import (
 	"sync"
 
+	"treeserver/internal/dataset"
 	"treeserver/internal/impurity"
 	"treeserver/internal/obs"
 )
 
 // Scratch holds the reusable buffers of one split-finding thread. Passing a
 // Scratch in a Request makes the steady-state numeric kernels allocation-free:
-// the presorted fast path and the sort+sweep fallback both run at 0 allocs/op
+// the presorted walk and the sparse radix path both run at 0 allocs/op
 // once the buffers have grown to the working-set size. Categorical kernels
 // reuse the count matrices and group buffers, leaving only the per-candidate
 // LeftSet copies that escape into returned Conditions.
@@ -18,11 +19,11 @@ import (
 // package pool per task (GetScratch/PutScratch); the serial trainer keeps one
 // per tree build.
 type Scratch struct {
-	present []int32     // missing-filtered row buffer
-	pairs   []valuePair // sort+sweep fallback buffer
-	vals    []float64   // presorted fast path: gathered values
-	ys      []int32     // gathered class codes (classification)
-	fs      []float64   // gathered targets (regression)
+	present []int32        // missing-filtered, sorted or walked row buffer
+	sorter  dataset.Sorter // sparse numeric path: radix sort of the node's rows
+	vals    []float64      // numeric sweep: gathered values or run ids
+	ys      []int32        // gathered class codes (classification)
+	fs      []float64      // gathered targets (regression)
 
 	left, right, total *impurity.ClassCounter
 
@@ -71,14 +72,6 @@ func (s *Scratch) presentBuf(n int) []int32 {
 		s.present = make([]int32, 0, n)
 	}
 	return s.present[:0]
-}
-
-// pairBuf returns a zero-length pair buffer with capacity >= n.
-func (s *Scratch) pairBuf(n int) []valuePair {
-	if cap(s.pairs) < n {
-		s.pairs = make([]valuePair, 0, n)
-	}
-	return s.pairs[:0]
 }
 
 // numericBufs returns the three empty gather buffers of the numeric sweep,
