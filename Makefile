@@ -69,19 +69,23 @@ elastic:
 
 # Serving suite: compiled-vs-interpreter equivalence properties and
 # zero-alloc guards, registry hot-swap storm, and the /v1 handler tests,
-# all under the race detector, plus the legacy-vs-compiled serving A/B.
+# all under the race detector, plus the legacy-vs-compiled serving A/B
+# (written to .tsbench_out/, leaving the committed BENCH_serve.json alone).
 serve:
 	$(GO) test -race ./internal/infer/ ./internal/registry/ ./internal/serve/
-	$(GO) run ./cmd/benchtab -quick -serve-json BENCH_serve.json
+	mkdir -p .tsbench_out
+	$(GO) run ./cmd/benchtab -quick -serve-json .tsbench_out/BENCH_serve.json
 
 # Serving resilience suite: overload shedding, request deadlines, canary
 # promote/rollback, slow-loris and shutdown-under-load chaos cells, plus the
-# limiter+canary overhead A/B (the resilience arm of BENCH_serve.json).
+# limiter+canary overhead A/B (the resilience arm of BENCH_serve.json,
+# written to .tsbench_out/).
 resilience:
 	$(GO) test -race ./internal/serve/ -run 'TestOverload|TestLimiter|TestRequestDeadline|TestClientDisconnect|TestBodyTooLarge|TestStage|TestCanary|TestReadyz|TestSlowLoris|TestShutdown'
 	$(GO) test -race ./internal/registry/ -run 'TestStage|TestRoute|TestCanary|TestActivateAndRollbackCancelCanary|TestRollbackEmptyHistory|TestActivateUnknownSeq|TestWatch'
 	$(GO) test -race ./internal/infer/ -run 'TestDecodeRequestCtx|TestPredictCtx'
-	$(GO) run ./cmd/benchtab -quick -serve-json BENCH_serve.json
+	mkdir -p .tsbench_out
+	$(GO) run ./cmd/benchtab -quick -serve-json .tsbench_out/BENCH_serve.json
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -2,10 +2,13 @@ package infer
 
 import (
 	"bytes"
+	"strconv"
+	"sync"
 	"testing"
 
 	"treeserver/internal/cluster"
 	"treeserver/internal/core"
+	"treeserver/internal/dataset"
 	"treeserver/internal/forest"
 	"treeserver/internal/model"
 	"treeserver/internal/synth"
@@ -56,7 +59,7 @@ func BenchmarkInterpreterPredict(b *testing.B) {
 }
 
 // BenchmarkCompiledPredict is the compiled path: dict parse into a pooled
-// block + SoA traversal, per batch of 256 rows.
+// block + lockstep traversal, per batch of 256 rows.
 func BenchmarkCompiledPredict(b *testing.B) {
 	_, m, rows := benchModel(b)
 	block := m.GetBlock()
@@ -89,4 +92,117 @@ func BenchmarkCompiledDepth4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Predict(block, res, 4)
 	}
+}
+
+// serveShape is a model and request at the serve_batch workload's shape:
+// 12 numeric and 4 categorical features (8 levels), 3 classes, 24 trees of
+// depth 10, one 1024-row body of string-valued cells with missing cells
+// left out.
+var serveShape struct {
+	once  sync.Once
+	m     *Model
+	body  []byte
+	nrows int
+}
+
+func serveShapeFixture(b *testing.B) (*Model, []byte, int) {
+	b.Helper()
+	serveShape.once.Do(func() {
+		spec := synth.Spec{Name: "serve", Rows: 20000, NumNumeric: 12, NumCategorical: 4,
+			CatLevels: 8, NumClasses: 3, MissingRate: 0.01, ConceptDepth: 5, LabelNoise: 0.3, Seed: 7}
+		train, test := synth.Generate(spec, 0.2)
+		params := core.Defaults()
+		params.MaxDepth = 10
+		f, err := forest.Train(&forest.Local{Table: train}, cluster.SchemaOf(train),
+			forest.Config{Trees: 24, Params: params, ColFrac: -1, Bootstrap: true, Seed: 1007})
+		if err != nil {
+			panic(err)
+		}
+		var buf bytes.Buffer
+		if err := model.SaveForest(&buf, "serve", f, model.SchemaOf(train)); err != nil {
+			panic(err)
+		}
+		mf, err := model.Load(&buf)
+		if err != nil {
+			panic(err)
+		}
+		if serveShape.m, err = Compile(mf); err != nil {
+			panic(err)
+		}
+		serveShape.nrows = 1024
+		serveShape.body = renderRequest(test, serveShape.nrows)
+	})
+	return serveShape.m, serveShape.body, serveShape.nrows
+}
+
+// renderRequest writes the first n rows of tbl as a /v1 predict body the way
+// a client sends them: quoted cells, shortest round-trip numerics, missing
+// cells left out.
+func renderRequest(tbl *dataset.Table, n int) []byte {
+	var b bytes.Buffer
+	b.WriteString(`{"rows":[`)
+	for r := 0; r < n; r++ {
+		if r > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('{')
+		first := true
+		for _, c := range tbl.FeatureIndexes() {
+			col := tbl.Cols[c]
+			if col.IsMissing(r) {
+				continue
+			}
+			if !first {
+				b.WriteByte(',')
+			}
+			first = false
+			b.WriteString(strconv.Quote(col.Name))
+			b.WriteByte(':')
+			if col.Kind == dataset.Numeric {
+				b.WriteString(strconv.Quote(strconv.FormatFloat(col.Floats[r], 'g', -1, 64)))
+			} else {
+				b.WriteString(strconv.Quote(col.Levels[col.Cats[r]]))
+			}
+		}
+		b.WriteByte('}')
+	}
+	b.WriteString(`]}`)
+	return b.Bytes()
+}
+
+// BenchmarkDecodeRequest times the /v1 ingest path alone on a 1024-row
+// body; ns/row is the figure to compare.
+func BenchmarkDecodeRequest(b *testing.B) {
+	m, body, n := serveShapeFixture(b)
+	block := m.GetBlock()
+	defer m.PutBlock(block)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		block.Reset()
+		if _, err := m.DecodeRequest(block, body, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}
+
+// BenchmarkPredictBlock times forest traversal alone over a decoded
+// 1024-row block; ns/row is the figure to compare.
+func BenchmarkPredictBlock(b *testing.B) {
+	m, body, n := serveShapeFixture(b)
+	block := m.GetBlock()
+	defer m.PutBlock(block)
+	if _, err := m.DecodeRequest(block, body, 0); err != nil {
+		b.Fatal(err)
+	}
+	res := m.GetResult()
+	defer m.PutResult(res)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Predict(block, res, 0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }

@@ -1,6 +1,6 @@
 // Package infer is the compiled serving engine: it flattens trained models
-// into cache-friendly structure-of-arrays node tables and evaluates them over
-// row blocks with a zero-allocation steady state.
+// into cache-friendly packed node tables and evaluates them over row blocks
+// with a zero-allocation steady state.
 //
 // The interpreter in core/forest walks pointer-linked Node values — fine for
 // training-time evaluation, but a serving hot path pays for the pointer
@@ -8,11 +8,15 @@
 // applies the cache-conscious layout playbook of "Breadth-first, Depth-next
 // Training of Random Forests" (1910.06853) to prediction instead:
 //
-//   - every tree becomes parallel flat arrays (feature slot, threshold,
-//     left/right int32 offsets, per-node leaf payloads) laid out in
-//     breadth-first order, so traversal is array indexing, not chasing;
-//   - categorical seen/left sets become packed bitsets in one shared word
-//     pool per tree;
+//   - every tree becomes 32-byte node records (threshold, left-child
+//     offset, feature slot, and the seen/left level sets of a categorical
+//     split over at most 64 levels) laid out in breadth-first order in one
+//     model-wide array, so siblings are adjacent and traversal is array
+//     indexing, not chasing; per-node payloads sit in arrays beside it, and
+//     the sets of wider categorical splits in one shared word pool;
+//   - forest rows walk eight at a time in lockstep for a fixed number of
+//     steps, with selects instead of branches, so the core overlaps eight
+//     independent chains of loads;
 //   - categorical dictionaries (level string → code) are built once at
 //     compile time, so request parsing is a map lookup, not a linear scan of
 //     the training levels;
@@ -53,38 +57,48 @@ const (
 	missingCode int32 = -2
 )
 
-// Node kinds in the flat tables.
-const (
-	nodeLeaf uint8 = iota
-	nodeNumeric
-	nodeCategorical
-)
+// node is one compiled split, packed so a traversal step reads a single
+// 32-byte record. Trees are laid out breadth-first, so a node's two children
+// are adjacent and a step picks left or left+1 with a select, not a branch.
+// Leaves are absorbing — left is the node itself and thresh is +Inf, which
+// no value exceeds — so a walk can run a fixed number of steps.
+type node struct {
+	thresh float64 // numeric split value; +Inf at leaves
+	// Categorical splits over at most 64 levels carry their sets inline:
+	// seen holds the codes observed at the node in training, goLeft the codes
+	// routed left. seen is all ones at numeric splits and leaves, and zero at
+	// a wide categorical split, whose sets live in wide[goLeft].
+	seen   uint64
+	goLeft uint64
+	left   int32 // left child (the right child is left+1); self at leaves
+	slot   int32 // feature slot: s for numeric feature s, ^s for categorical s
+}
 
-// soaTree is one tree flattened into parallel arrays. Nodes are indexed by
-// int32 offsets with the root at 0, laid out in breadth-first order so the
-// hot top-of-tree levels share cache lines.
-type soaTree struct {
-	kind   []uint8
-	depth  []int32
-	slot   []int32   // row-block slot of the split feature
-	thresh []float64 // numeric split value
-	left   []int32
-	right  []int32
+// wideSplit locates the membership sets of a categorical split over more
+// than 64 levels: the seen set at words[off:off+nw] followed by the left set
+// at words[off+nw:off+2nw].
+type wideSplit struct {
+	off int32
+	nw  int32
+}
 
-	// Categorical membership sets, packed two per node into words: the seen
-	// set at setOff (codes observed in D_x during training) followed by the
-	// left set (codes routed left), each setLen words wide.
-	setOff []int32
-	setLen []int32
-	words  []uint64
+// tree locates one compiled tree in the model's node array.
+type tree struct {
+	root int32 // index of the root record
+	// levels is the depth of the deepest leaf below the root: a full-depth
+	// walk takes exactly this many steps. rootDepth is the root's Depth, the
+	// origin of the maxDepth dial.
+	levels    int32
+	rootDepth int32
+}
 
-	// Per-node payloads: traversal can stop anywhere (leaf, missing value,
-	// unseen level, depth truncation), so every node carries its prediction.
-	class []int32   // classification: argmax class
-	pmf   []float64 // classification: node-major PMFs, numClasses stride
-	mean  []float64 // regression mean / boost leaf weight
-
-	missLeft []bool // boost: learned default direction for missing values
+// steps returns how many lockstep steps a walk truncated at maxDepth takes:
+// every step descends one level, and a node at Depth >= maxDepth stops.
+func (t *tree) steps(maxDepth int32) int32 {
+	if maxDepth <= 0 {
+		return t.levels
+	}
+	return max(0, min(t.levels, maxDepth-t.rootDepth))
 }
 
 // Model is an immutable compiled inference artifact. All methods are safe
@@ -104,8 +118,20 @@ type Model struct {
 	catSlots int
 	dicts    []map[string]int32 // categorical columns: level → code
 	byName   map[string]int     // feature name → schema column index
+	quoted   [][]byte           // feature name as its JSON token, nil if it needs escapes
 
-	trees []soaTree
+	// Every tree's node records, tree after tree, breadth-first within each,
+	// with child indices into this array, and beside them the sets of wide
+	// categorical splits and the per-node payloads: traversal can stop
+	// anywhere (leaf, missing value, unseen level, depth truncation), so
+	// every node carries its prediction.
+	trees    []tree
+	nodes    []node
+	wide     []wideSplit
+	words    []uint64
+	pmf      []float64 // classification: node-major PMFs, numClasses stride
+	mean     []float64 // regression mean / boost leaf weight
+	missLeft []bool    // boost: learned default direction for missing values
 
 	// Boost-only shape: base margin and trees-per-round group count.
 	boostBase    float64
@@ -165,6 +191,7 @@ func Compile(f *model.File) (*Model, error) {
 		colCat:     make([]bool, s.NumCols()),
 		dicts:      make([]map[string]int32, s.NumCols()),
 		byName:     make(map[string]int, s.NumCols()),
+		quoted:     make([][]byte, s.NumCols()),
 	}
 	if !m.regression {
 		m.classes = s.TargetLevels()
@@ -176,6 +203,7 @@ func Compile(f *model.File) (*Model, error) {
 			continue
 		}
 		m.byName[s.Names[ci]] = ci
+		m.quoted[ci] = quotedName(s.Names[ci])
 		if s.Kinds[ci] == dataset.Categorical {
 			m.colCat[ci] = true
 			m.colSlot[ci] = int32(m.catSlots)
@@ -200,9 +228,8 @@ func Compile(f *model.File) (*Model, error) {
 			return nil, fmt.Errorf("infer: model %q: forest has %d classes, schema %d",
 				f.Name, f.Forest.NumClasses, m.numClasses)
 		}
-		m.trees = make([]soaTree, len(f.Forest.Trees))
 		for i, t := range f.Forest.Trees {
-			if err := m.compileTree(&m.trees[i], t); err != nil {
+			if err := m.compileTree(t); err != nil {
 				return nil, fmt.Errorf("infer: model %q tree %d: %w", f.Name, i, err)
 			}
 		}
@@ -221,79 +248,74 @@ func Compile(f *model.File) (*Model, error) {
 					f.Name, r, len(trees), m.boostGroups)
 			}
 			for k, t := range trees {
-				var st soaTree
-				if err := m.compileGTree(&st, t); err != nil {
+				if err := m.compileGTree(t); err != nil {
 					return nil, fmt.Errorf("infer: model %q round %d tree %d: %w", f.Name, r, k, err)
 				}
-				m.trees = append(m.trees, st)
 			}
 		}
 	default:
 		return nil, fmt.Errorf("infer: model %q holds neither forest nor boost payload", f.Name)
 	}
+	// A walk step reads numeric slot 0 at categorical splits and leaves and
+	// categorical slot 0 at numeric splits, so every row has at least one
+	// cell of each kind, padding included.
+	numStride, catStride := max(m.numSlots, 1), max(m.catSlots, 1)
 	m.blockPool.New = func() any {
-		return &RowBlock{numStride: m.numSlots, catStride: m.catSlots}
+		return &RowBlock{numStride: numStride, catStride: catStride}
 	}
 	m.resPool.New = func() any { return &Result{} }
+	powersOfTen() // the decoder's table, built once per process, here rather than in a request
 	return m, nil
 }
 
-// compileTree flattens one core.Tree breadth-first into dst.
-func (m *Model) compileTree(dst *soaTree, t *core.Tree) error {
+// compileTree flattens one core.Tree breadth-first onto the model's arrays.
+func (m *Model) compileTree(t *core.Tree) error {
 	if t == nil || t.Root == nil {
 		return fmt.Errorf("empty tree")
 	}
 	nc := m.numClasses
+	dst := tree{root: int32(len(m.nodes)), rootDepth: int32(t.Root.Depth)}
 	// Breadth-first queue; indices are assigned in dequeue order, so a
-	// node's children always land after it and the top levels stay adjacent.
+	// node's children always land after it, side by side, and the top
+	// levels stay adjacent.
 	queue := []*core.Node{t.Root}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		idx := len(dst.kind)
-		dst.kind = append(dst.kind, nodeLeaf)
-		dst.depth = append(dst.depth, int32(n.Depth))
-		dst.slot = append(dst.slot, 0)
-		dst.thresh = append(dst.thresh, 0)
-		dst.left = append(dst.left, 0)
-		dst.right = append(dst.right, 0)
-		dst.setOff = append(dst.setOff, 0)
-		dst.setLen = append(dst.setLen, 0)
-		dst.class = append(dst.class, n.Class)
-		dst.mean = append(dst.mean, n.Mean)
+		idx := int32(len(m.nodes))
+		m.nodes = append(m.nodes, node{thresh: math.Inf(1), seen: ^uint64(0), left: idx})
+		m.mean = append(m.mean, n.Mean)
 		if nc > 0 {
 			pmf := make([]float64, nc)
 			copy(pmf, n.PMF)
-			dst.pmf = append(dst.pmf, pmf...)
+			m.pmf = append(m.pmf, pmf...)
 		}
+		dst.levels = max(dst.levels, int32(n.Depth)-dst.rootDepth)
 		if n.IsLeaf() {
 			continue
+		}
+		// The walk counts one step per level, so depths must increment.
+		if n.Left == nil || n.Right == nil || n.Left.Depth != n.Depth+1 || n.Right.Depth != n.Depth+1 {
+			return fmt.Errorf("node %d: children missing or not one level below it", n.ID)
 		}
 		col := n.Cond.Col
 		if col < 0 || col >= len(m.colSlot) || m.colSlot[col] < 0 {
 			return fmt.Errorf("node %d splits on column %d outside the feature schema", n.ID, col)
 		}
-		dst.slot[idx] = m.colSlot[col]
+		nd := &m.nodes[idx]
 		if n.Cond.Kind == dataset.Numeric {
 			if m.colCat[col] {
 				return fmt.Errorf("node %d: numeric split on categorical column %d", n.ID, col)
 			}
-			dst.kind[idx] = nodeNumeric
-			dst.thresh[idx] = n.Cond.Threshold
+			nd.slot = m.colSlot[col]
+			nd.thresh = n.Cond.Threshold
 		} else {
 			if !m.colCat[col] {
 				return fmt.Errorf("node %d: categorical split on numeric column %d", n.ID, col)
 			}
-			dst.kind[idx] = nodeCategorical
-			nw := int32((len(m.schema.Levels[col]) + 63) / 64)
-			if nw == 0 {
-				nw = 1
-			}
-			dst.setOff[idx] = int32(len(dst.words))
-			dst.setLen[idx] = nw
-			dst.words = append(dst.words, make([]uint64, 2*nw)...)
-			seen := dst.words[dst.setOff[idx] : dst.setOff[idx]+nw]
-			left := dst.words[dst.setOff[idx]+nw : dst.setOff[idx]+2*nw]
+			nw := int32(max(1, (len(m.schema.Levels[col])+63)/64))
+			sets := make([]uint64, 2*nw)
+			seen, left := sets[:nw], sets[nw:]
 			for _, code := range n.SeenCodes {
 				if code < 0 || int(code) >= int(nw)*64 {
 					return fmt.Errorf("node %d: seen code %d outside column %d's %d levels",
@@ -308,17 +330,25 @@ func (m *Model) compileTree(dst *soaTree, t *core.Tree) error {
 				}
 				left[code>>6] |= 1 << uint(code&63)
 			}
+			nd.slot = ^m.colSlot[col]
+			if nw == 1 && seen[0] != 0 {
+				nd.seen, nd.goLeft = seen[0], left[0]
+			} else {
+				nd.seen, nd.goLeft = 0, uint64(len(m.wide))
+				m.wide = append(m.wide, wideSplit{off: int32(len(m.words)), nw: nw})
+				m.words = append(m.words, sets...)
+			}
 		}
-		// Children are appended to the queue in (left, right) order; their
-		// final indices are the current queue tail positions.
-		dst.left[idx] = int32(len(dst.kind) + len(queue))
-		queue = append(queue, n.Left)
-		dst.right[idx] = int32(len(dst.kind) + len(queue))
-		queue = append(queue, n.Right)
+		// Children are appended to the queue in (left, right) order, so the
+		// left child's final index is the current queue tail position and
+		// the right child's is the next.
+		nd.left = int32(len(m.nodes) + len(queue))
+		queue = append(queue, n.Left, n.Right)
 		if n.Depth >= m.dmax {
 			m.dmax = n.Depth + 1
 		}
 	}
+	m.trees = append(m.trees, dst)
 	return nil
 }
 
@@ -326,10 +356,11 @@ func (m *Model) compileTree(dst *soaTree, t *core.Tree) error {
 // compare the feature as float64 (categorical codes numeric, like the
 // interpreter's feature view) and route missing values by the learned
 // default direction.
-func (m *Model) compileGTree(dst *soaTree, t *boost.GTree) error {
+func (m *Model) compileGTree(t *boost.GTree) error {
 	if t == nil || t.Root == nil {
 		return fmt.Errorf("empty tree")
 	}
+	dst := tree{root: int32(len(m.nodes))}
 	type item struct {
 		n     *boost.GNode
 		depth int32
@@ -339,98 +370,131 @@ func (m *Model) compileGTree(dst *soaTree, t *boost.GTree) error {
 		it := queue[0]
 		queue = queue[1:]
 		n := it.n
-		idx := len(dst.kind)
-		dst.kind = append(dst.kind, nodeLeaf)
-		dst.depth = append(dst.depth, it.depth)
-		dst.slot = append(dst.slot, 0)
-		dst.thresh = append(dst.thresh, 0)
-		dst.left = append(dst.left, 0)
-		dst.right = append(dst.right, 0)
-		dst.mean = append(dst.mean, n.Weight)
-		dst.missLeft = append(dst.missLeft, n.MissingLeft)
+		idx := int32(len(m.nodes))
+		m.nodes = append(m.nodes, node{thresh: math.Inf(1), seen: ^uint64(0), left: idx})
+		m.mean = append(m.mean, n.Weight)
+		m.missLeft = append(m.missLeft, n.MissingLeft)
+		dst.levels = max(dst.levels, it.depth)
 		if int(it.depth) >= m.dmax {
 			m.dmax = int(it.depth)
 		}
 		if n.Leaf {
 			continue
 		}
+		if n.Left == nil || n.Right == nil {
+			return fmt.Errorf("internal node missing a child")
+		}
 		col := n.Feature
 		if col < 0 || col >= len(m.colSlot) || m.colSlot[col] < 0 {
 			return fmt.Errorf("node splits on column %d outside the feature schema", col)
 		}
-		dst.slot[idx] = m.colSlot[col]
-		dst.thresh[idx] = n.Threshold
+		nd := &m.nodes[idx]
+		nd.thresh = n.Threshold
+		nd.slot = m.colSlot[col]
 		if m.colCat[col] {
-			dst.kind[idx] = nodeCategorical
-		} else {
-			dst.kind[idx] = nodeNumeric
+			nd.slot = ^nd.slot
 		}
-		dst.left[idx] = int32(len(dst.kind) + len(queue))
-		queue = append(queue, item{n.Left, it.depth + 1})
-		dst.right[idx] = int32(len(dst.kind) + len(queue))
-		queue = append(queue, item{n.Right, it.depth + 1})
+		nd.left = int32(len(m.nodes) + len(queue))
+		queue = append(queue, item{n.Left, it.depth + 1}, item{n.Right, it.depth + 1})
 	}
+	m.trees = append(m.trees, dst)
 	return nil
 }
 
-// route walks one row down a compiled forest tree, stopping at leaves, depth
-// truncation, missing values (numeric NaN or categorical missingCode) and
-// categorical codes unseen at the node during training — the Appendix D
-// semantics of core.Tree.route, over flat arrays.
-func (t *soaTree) route(nums []float64, cats []int32, numOff, catOff int, maxDepth int32) int32 {
-	n := int32(0)
-	for {
-		k := t.kind[n]
-		if k == nodeLeaf {
-			return n
-		}
-		if maxDepth > 0 && t.depth[n] >= maxDepth {
-			return n
-		}
-		if k == nodeNumeric {
-			v := nums[numOff+int(t.slot[n])]
-			if v != v { // NaN: missing stops traversal
-				return n
+// lanes is how many rows a forest walk advances in lockstep: eight
+// independent chains of dependent loads for the core to overlap.
+const lanes = 8
+
+// walk routes rows r0..r0+k-1 (k <= lanes) of b down tree t for steps
+// levels and leaves each row's stopping node in at — the Appendix D
+// semantics of core.Tree.route. A row stops at a leaf (which absorbs it),
+// at a missing value (numeric NaN, categorical missingCode), at a
+// categorical code the node never saw in training, and at depth
+// truncation, which is the step count.
+//
+// A step has no data-dependent branch outside wide categorical splits. It
+// reads both the numeric and the categorical cell the record names (a
+// numeric record names categorical slot 0 and vice versa, so both reads are
+// in bounds), computes whether the row moves and whether it goes right under
+// either kind, and keeps the record's kind by mask: (v <= thresh) | (v >
+// thresh) is 0 only for NaN, and a code moves only if its seen bit is set.
+func (m *Model) walk(t *tree, b *RowBlock, r0, k int, steps int32, at *[lanes]int32) {
+	var numOff, catOff [lanes]int
+	for i := 0; i < k; i++ {
+		at[i] = t.root
+		numOff[i] = (r0 + i) * b.numStride
+		catOff[i] = (r0 + i) * b.catStride
+	}
+	nodes, nums, cats := m.nodes, b.nums, b.cats
+	for s := int32(0); s < steps; s++ {
+		for i := 0; i < k; i++ {
+			cur := at[i]
+			nd := &nodes[cur]
+			if nd.seen == 0 {
+				at[i] = m.wideStep(cur, nd, cats[catOff[i]+int(^nd.slot)])
+				continue
 			}
-			if v <= t.thresh[n] {
-				n = t.left[n]
-			} else {
-				n = t.right[n]
-			}
-			continue
-		}
-		c := cats[catOff+int(t.slot[n])]
-		w := c >> 6
-		if c < 0 || w >= t.setLen[n] {
-			return n // missing or unseen level
-		}
-		off := t.setOff[n]
-		bit := uint64(1) << uint(c&63)
-		if t.words[off+w]&bit == 0 {
-			return n // level not observed at this node during training
-		}
-		if t.words[off+t.setLen[n]+w]&bit != 0 {
-			n = t.left[n]
-		} else {
-			n = t.right[n]
+			kind := nd.slot >> 31 // 0 numeric (or leaf), -1 categorical
+			v := nums[numOff[i]+int(nd.slot&^kind)]
+			code := uint32(cats[catOff[i]+int(^nd.slot&kind)])
+			gt := b2i(v > nd.thresh)
+			move := b2i(v <= nd.thresh) | gt
+			// Missing and unseen codes are negative, so code >= 64 for them.
+			sh := code & 63
+			cmove := int32(nd.seen>>sh) & 1 & b2i(code < 64)
+			cgt := cmove &^ int32(nd.goLeft>>sh)
+			move ^= (move ^ cmove) & kind
+			gt ^= (gt ^ cgt) & kind
+			at[i] = cur + move*(nd.left+gt-cur)
 		}
 	}
 }
 
-// routeBoost walks one row down a compiled gradient tree: missing values
-// follow the learned default direction, every other value is compared as
-// float64 (unseen categorical levels keep their -1 code as a value, exactly
-// like boost's feature view).
-func (t *soaTree) routeBoost(nums []float64, cats []int32, numOff, catOff int) int32 {
-	n := int32(0)
-	for t.kind[n] != nodeLeaf {
+// wideStep is one walk step at wide categorical split nd (node cur) for a
+// row whose cell holds code c.
+func (m *Model) wideStep(cur int32, nd *node, c int32) int32 {
+	ws := m.wide[nd.goLeft]
+	w := c >> 6
+	if c < 0 || w >= ws.nw {
+		return cur // missing or unseen level
+	}
+	bit := uint64(1) << uint(c&63)
+	if m.words[ws.off+w]&bit == 0 {
+		return cur // level not observed at this node during training
+	}
+	if m.words[ws.off+ws.nw+w]&bit == 0 {
+		return nd.left + 1
+	}
+	return nd.left
+}
+
+// b2i converts a comparison result to 0 or 1 without a branch.
+func b2i(b bool) int32 {
+	var i int32
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// routeBoost walks one row down a compiled gradient tree from its root:
+// missing values follow the learned default direction, every other value is
+// compared as float64 (unseen categorical levels keep their -1 code as a
+// value, exactly like boost's feature view).
+func (m *Model) routeBoost(root int32, nums []float64, cats []int32, numOff, catOff int) int32 {
+	n := root
+	for {
+		nd := &m.nodes[n]
+		if nd.left == n {
+			return n // leaf
+		}
 		var v float64
 		miss := false
-		if t.kind[n] == nodeNumeric {
-			v = nums[numOff+int(t.slot[n])]
+		if nd.slot >= 0 {
+			v = nums[numOff+int(nd.slot)]
 			miss = v != v
 		} else {
-			c := cats[catOff+int(t.slot[n])]
+			c := cats[catOff+int(^nd.slot)]
 			if c == missingCode {
 				miss = true
 			} else {
@@ -438,20 +502,19 @@ func (t *soaTree) routeBoost(nums []float64, cats []int32, numOff, catOff int) i
 			}
 		}
 		if miss {
-			if t.missLeft[n] {
-				n = t.left[n]
+			if m.missLeft[n] {
+				n = nd.left
 			} else {
-				n = t.right[n]
+				n = nd.left + 1
 			}
 			continue
 		}
-		if v <= t.thresh[n] {
-			n = t.left[n]
+		if v <= nd.thresh {
+			n = nd.left
 		} else {
-			n = t.right[n]
+			n = nd.left + 1
 		}
 	}
-	return n
 }
 
 // Predict scores every row of the block into res, truncating forest
@@ -474,10 +537,7 @@ func (m *Model) Predict(b *RowBlock, res *Result, maxDepth int) {
 func (m *Model) PredictCtx(ctx context.Context, b *RowBlock, res *Result, maxDepth int) error {
 	res.grow(b.n, m.numClasses, m.kind == "forest" && !m.regression)
 	if m.kind == "forest" {
-		if m.regression {
-			return m.predictForestValue(ctx, b, res, int32(maxDepth))
-		}
-		return m.predictForestClass(ctx, b, res, int32(maxDepth))
+		return m.predictForest(ctx, b, res, int32(maxDepth))
 	}
 	if m.regression {
 		return m.predictBoostValue(ctx, b, res)
@@ -485,58 +545,49 @@ func (m *Model) PredictCtx(ctx context.Context, b *RowBlock, res *Result, maxDep
 	return m.predictBoostClass(ctx, b, res)
 }
 
-// predictForestClass mirrors forest.Forest.PredictPMF followed by the strict
-// argmax of model.File.Predict: trees accumulate in member order, the sums
-// divide by the tree count, ties break to the lowest class index — so the
-// compiled PMFs and classes are bit-identical to the interpreter.
-func (m *Model) predictForestClass(ctx context.Context, b *RowBlock, res *Result, maxDepth int32) error {
-	nc := m.numClasses
-	pmf := res.pmf[:b.n*nc]
-	for i := range pmf {
-		pmf[i] = 0
+// predictForest mirrors forest.Forest.PredictPMF (PredictValue for
+// regression) followed by the strict argmax of model.File.Predict: trees
+// accumulate in member order, the sums divide by the tree count, ties break
+// to the lowest class index — so the compiled PMFs, classes and values are
+// bit-identical to the interpreter.
+func (m *Model) predictForest(ctx context.Context, b *RowBlock, res *Result, maxDepth int32) error {
+	nc := m.numClasses // 0 for regression
+	acc := res.values[:b.n]
+	if !m.regression {
+		acc = res.pmf[:b.n*nc]
 	}
+	clear(acc)
+	var at [lanes]int32
 	for ti := range m.trees {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		t := &m.trees[ti]
-		for row := 0; row < b.n; row++ {
-			n := t.route(b.nums, b.cats, row*b.numStride, row*b.catStride, maxDepth)
-			src := t.pmf[int(n)*nc : int(n)*nc+nc]
-			dst := pmf[row*nc : row*nc+nc]
-			for i, p := range src {
-				dst[i] += p
+		steps := t.steps(maxDepth)
+		for r0 := 0; r0 < b.n; r0 += lanes {
+			k := min(lanes, b.n-r0)
+			m.walk(t, b, r0, k, steps, &at)
+			for i, n := range at[:k] {
+				r := r0 + i
+				if m.regression {
+					acc[r] += m.mean[n]
+					continue
+				}
+				dst := acc[r*nc : r*nc+nc]
+				for j, p := range m.pmf[int(n)*nc : int(n)*nc+nc] {
+					dst[j] += p
+				}
 			}
 		}
 	}
 	numTrees := float64(len(m.trees))
-	for i := range pmf {
-		pmf[i] /= numTrees
+	for i := range acc {
+		acc[i] /= numTrees
 	}
-	for row := 0; row < b.n; row++ {
-		res.classes[row] = argMax(pmf[row*nc : row*nc+nc])
-	}
-	return nil
-}
-
-func (m *Model) predictForestValue(ctx context.Context, b *RowBlock, res *Result, maxDepth int32) error {
-	vals := res.values[:b.n]
-	for i := range vals {
-		vals[i] = 0
-	}
-	for ti := range m.trees {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t := &m.trees[ti]
+	if !m.regression {
 		for row := 0; row < b.n; row++ {
-			n := t.route(b.nums, b.cats, row*b.numStride, row*b.catStride, maxDepth)
-			vals[row] += t.mean[n]
+			res.classes[row] = argMax(acc[row*nc : row*nc+nc])
 		}
-	}
-	numTrees := float64(len(m.trees))
-	for i := range vals {
-		vals[i] /= numTrees
 	}
 	return nil
 }
@@ -552,10 +603,10 @@ func (m *Model) predictBoostValue(ctx context.Context, b *RowBlock, res *Result)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t := &m.trees[ti]
+		root := m.trees[ti].root
 		for row := 0; row < b.n; row++ {
-			n := t.routeBoost(b.nums, b.cats, row*b.numStride, row*b.catStride)
-			vals[row] += t.mean[n]
+			n := m.routeBoost(root, b.nums, b.cats, row*b.numStride, row*b.catStride)
+			vals[row] += m.mean[n]
 		}
 	}
 	return nil
@@ -564,17 +615,15 @@ func (m *Model) predictBoostValue(ctx context.Context, b *RowBlock, res *Result)
 func (m *Model) predictBoostClass(ctx context.Context, b *RowBlock, res *Result) error {
 	if m.boostClasses == 1 { // binary logistic: sign of the margin
 		vals := res.values[:b.n]
-		for i := range vals {
-			vals[i] = 0
-		}
+		clear(vals)
 		for ti := 0; ti < len(m.trees); ti += m.boostGroups {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			t := &m.trees[ti]
+			root := m.trees[ti].root
 			for row := 0; row < b.n; row++ {
-				n := t.routeBoost(b.nums, b.cats, row*b.numStride, row*b.catStride)
-				vals[row] += t.mean[n]
+				n := m.routeBoost(root, b.nums, b.cats, row*b.numStride, row*b.catStride)
+				vals[row] += m.mean[n]
 			}
 		}
 		for row := 0; row < b.n; row++ {
@@ -590,18 +639,16 @@ func (m *Model) predictBoostClass(ctx context.Context, b *RowBlock, res *Result)
 	// to the lowest class — matching boost.Model.PredictClass.
 	nc := m.boostClasses
 	scores := res.pmf[:b.n*nc]
-	for i := range scores {
-		scores[i] = 0
-	}
+	clear(scores)
 	for ti := range m.trees {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t := &m.trees[ti]
+		root := m.trees[ti].root
 		k := ti % m.boostGroups
 		for row := 0; row < b.n; row++ {
-			n := t.routeBoost(b.nums, b.cats, row*b.numStride, row*b.catStride)
-			scores[row*nc+k] += t.mean[n]
+			n := m.routeBoost(root, b.nums, b.cats, row*b.numStride, row*b.catStride)
+			scores[row*nc+k] += m.mean[n]
 		}
 	}
 	for row := 0; row < b.n; row++ {
@@ -636,6 +683,23 @@ type RowBlock struct {
 	nums      []float64
 	cats      []int32
 	scratch   []byte // JSON string unescape buffer, reused across requests
+	// next is DecodeRequest's key-order prediction: next[0] is the column
+	// the last row began with, next[ci+1] the column that followed column
+	// ci, and the final entry the one that followed an unknown key; -1 is
+	// no prediction.
+	next []int32
+}
+
+// keyOrder returns the block's key-order prediction for a schema of n
+// columns, creating it on first use.
+func (b *RowBlock) keyOrder(n int) []int32 {
+	if len(b.next) != n+2 {
+		b.next = make([]int32, n+2)
+		for i := range b.next {
+			b.next[i] = -1
+		}
+	}
+	return b.next
 }
 
 // Len returns the number of rows currently in the block.
@@ -670,7 +734,7 @@ func (m *Model) PutResult(r *Result) {
 	}
 }
 
-// grow ensures one more row of capacity.
+// grow appends one row with every cell missing, padding included.
 func (b *RowBlock) grow() (numOff, catOff int) {
 	numOff = b.n * b.numStride
 	catOff = b.n * b.catStride
@@ -679,6 +743,13 @@ func (b *RowBlock) grow() (numOff, catOff int) {
 	}
 	if need := catOff + b.catStride; need > len(b.cats) {
 		b.cats = append(b.cats, make([]int32, need-len(b.cats))...)
+	}
+	nan := math.NaN()
+	for i := range b.nums[numOff : numOff+b.numStride] {
+		b.nums[numOff+i] = nan
+	}
+	for i := range b.cats[catOff : catOff+b.catStride] {
+		b.cats[catOff+i] = missingCode
 	}
 	b.n++
 	return numOff, catOff

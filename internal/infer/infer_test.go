@@ -18,7 +18,7 @@ import (
 
 // trainForestFile trains a forest on the spec and round-trips it through the
 // gob model format, exactly as a served model arrives.
-func trainForestFile(t *testing.T, spec synth.Spec, trees, maxDepth int) (*model.File, *dataset.Table) {
+func trainForestFile(t testing.TB, spec synth.Spec, trees, maxDepth int) (*model.File, *dataset.Table) {
 	t.Helper()
 	train, test := synth.Generate(spec, 0.3)
 	params := core.Defaults()
@@ -104,13 +104,24 @@ func propertySpecs() []synth.Spec {
 			NumClasses: 0, MissingRate: 0.1, ConceptDepth: 4, Seed: 14},
 		{Name: "reg-numeric", Rows: 1000, NumNumeric: 4, NumClasses: 0,
 			ConceptDepth: 4, Seed: 15},
+		{Name: "cls-all-cat", Rows: 1200, NumCategorical: 3, CatLevels: 6,
+			NumClasses: 3, MissingRate: 0.05, ConceptDepth: 4, Seed: 16},
 	}
 }
 
+// equivalenceBlockSizes covers the lockstep walk's edges: empty, a single
+// row, one short of a full group of lanes, exactly one, one over, two groups
+// and a ragged tail, and a serving-size batch.
+var equivalenceBlockSizes = []int{0, 1, 7, 8, 9, 17, 1024}
+
 // TestForestEquivalence holds the compiled engine to bit-identical
-// predictions against the interpreter over the property grid, at full depth
-// and at every truncation depth 1..dmax, through both ingestion paths
-// (string maps and parsed tables), including unseen categorical levels.
+// predictions against the interpreter over the property grid (numeric-only,
+// mixed and 70-level categorical, classification and regression), at full
+// depth and at every truncation depth 1..dmax, for every block size in
+// equivalenceBlockSizes, through both ingestion paths (string maps and
+// parsed tables). The rows include every way a walk stops early: missing
+// numeric cells in each tree's root column, missing and unseen categorical
+// codes.
 func TestForestEquivalence(t *testing.T) {
 	for _, spec := range propertySpecs() {
 		spec := spec
@@ -124,17 +135,82 @@ func TestForestEquivalence(t *testing.T) {
 				t.Fatalf("kind = %q", m.Kind())
 			}
 
-			// Client-shaped rows, with a sprinkle of unseen levels.
+			// Client-shaped rows: every seventh misses a tree's root split
+			// feature, and categorical cells are sometimes missing and
+			// sometimes a level the model never saw.
+			trees := mf.Forest.Trees
 			rows := make([]map[string]string, test.NumRows())
 			for r := range rows {
 				rows[r] = rowToMap(test, r)
-				if spec.NumCategorical > 0 && r%17 == 0 {
-					rows[r][test.Cols[spec.NumNumeric].Name] = "NEVER-SEEN-LEVEL"
+				if r%7 == 0 {
+					root := trees[(r/7)%len(trees)].Root
+					if !root.IsLeaf() {
+						rows[r][mf.Schema.Names[root.Cond.Col]] = "NA"
+					}
+				}
+				if spec.NumCategorical > 0 {
+					switch cat := test.Cols[spec.NumNumeric+r%spec.NumCategorical].Name; {
+					case r%17 == 0:
+						rows[r][cat] = "NEVER-SEEN-LEVEL"
+					case r%11 == 0:
+						rows[r][cat] = ""
+					}
 				}
 			}
 			parsed, err := mf.Schema.ParseRows(rows)
 			if err != nil {
 				t.Fatal(err)
+			}
+			rootNaN := 0
+			for r := range rows {
+				if root := trees[0].Root; !root.IsLeaf() && parsed.Cols[root.Cond.Col].IsMissing(r) {
+					rootNaN++
+				}
+			}
+			if rootNaN == 0 {
+				t.Fatal("no row misses tree 0's root feature")
+			}
+
+			res := m.GetResult()
+			defer m.PutResult(res)
+			for _, size := range equivalenceBlockSizes {
+				block := m.GetBlock()
+				for i := 0; i < size; i++ {
+					if err := m.AppendRow(block, rows[i%len(rows)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for depth := 0; depth <= m.MaxTreeDepth(); depth++ {
+					m.Predict(block, res, depth)
+					if res.Len() != size {
+						t.Fatalf("size %d: result holds %d rows", size, res.Len())
+					}
+					for i := 0; i < size; i++ {
+						r := i % len(rows)
+						if spec.Regression() {
+							want := mf.Forest.PredictValue(parsed, r, depth)
+							if got := res.Value(i); got != want {
+								t.Fatalf("size %d depth %d row %d: value %v != %v", size, depth, r, got, want)
+							}
+							continue
+						}
+						wantPMF := mf.Forest.PredictPMF(parsed, r, depth)
+						gotPMF := res.PMF(i)
+						if len(gotPMF) != len(wantPMF) {
+							t.Fatalf("depth %d row %d: pmf len %d != %d", depth, r, len(gotPMF), len(wantPMF))
+						}
+						for c := range wantPMF {
+							if gotPMF[c] != wantPMF[c] {
+								t.Fatalf("size %d depth %d row %d class %d: pmf %v != %v",
+									size, depth, r, c, gotPMF[c], wantPMF[c])
+							}
+						}
+						if got, want := res.Class(i), mf.Forest.PredictClass(parsed, r, depth); got != want {
+							t.Fatalf("size %d depth %d row %d: class %d != %d", size, depth, r, got, want)
+						}
+					}
+				}
+				m.PutBlock(block)
 			}
 
 			block := m.GetBlock()
@@ -144,36 +220,6 @@ func TestForestEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res := m.GetResult()
-			defer m.PutResult(res)
-
-			for depth := 0; depth <= m.MaxTreeDepth(); depth++ {
-				m.Predict(block, res, depth)
-				for r := 0; r < len(rows); r++ {
-					if spec.Regression() {
-						want := mf.Forest.PredictValue(parsed, r, depth)
-						if got := res.Value(r); got != want {
-							t.Fatalf("depth %d row %d: value %v != %v", depth, r, got, want)
-						}
-						continue
-					}
-					wantPMF := mf.Forest.PredictPMF(parsed, r, depth)
-					gotPMF := res.PMF(r)
-					if len(gotPMF) != len(wantPMF) {
-						t.Fatalf("depth %d row %d: pmf len %d != %d", depth, r, len(gotPMF), len(wantPMF))
-					}
-					for i := range wantPMF {
-						if gotPMF[i] != wantPMF[i] {
-							t.Fatalf("depth %d row %d class %d: pmf %v != %v",
-								depth, r, i, gotPMF[i], wantPMF[i])
-						}
-					}
-					if got, want := res.Class(r), mf.Forest.PredictClass(parsed, r, depth); got != want {
-						t.Fatalf("depth %d row %d: class %d != %d", depth, r, got, want)
-					}
-				}
-			}
-
 			// Full-depth predictions must also match the model-file wrapper
 			// (Class strings / Value), the shape the legacy handler serves.
 			m.Predict(block, res, 0)

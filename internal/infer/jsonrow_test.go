@@ -1,12 +1,15 @@
 package infer
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"treeserver/internal/dataset"
 	"treeserver/internal/synth"
 )
 
@@ -122,6 +125,30 @@ func TestDecodeRequestForms(t *testing.T) {
 			t.Fatalf("row 2 num = %v", b.nums[i])
 		}
 	}
+
+	// A repeated "rows" replaces the earlier array, as encoding/json keeps
+	// the last value, and the row cap applies to the kept array only.
+	b.Reset()
+	twice := `{"rows":[{"` + names[0] + `":"1"},{},{}],"rows":[{"` + names[0] + `":"7"}]}`
+	if _, err := m.DecodeRequest(b, []byte(twice), 2); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 1 || b.nums[0] != 7 {
+		t.Fatalf("repeated rows decoded to %d rows, num0 = %v", b.Len(), b.nums[0])
+	}
+	b.Reset()
+	if _, err := m.DecodeRequest(b, []byte(`{"rows":[{}],"rows":[{},{},{}]}`), 2); !errors.Is(err, ErrTooManyRows) {
+		t.Fatalf("kept array over the cap: err = %v", err)
+	}
+	// Likewise a repeated feature key: the last value wins, even over a bad one.
+	b.Reset()
+	dup := `{"rows":[{"` + names[0] + `":"abc","` + names[0] + `":2,"` + names[1] + `":3,"` + names[1] + `":"NA"}]}`
+	if _, err := m.DecodeRequest(b, []byte(dup), 0); err != nil {
+		t.Fatal(err)
+	}
+	if b.nums[0] != 2 || !math.IsNaN(b.nums[1]) {
+		t.Fatalf("repeated keys decoded to %v", b.nums[:2])
+	}
 }
 
 func TestDecodeRequestErrors(t *testing.T) {
@@ -140,6 +167,14 @@ func TestDecodeRequestErrors(t *testing.T) {
 		`{"rows":"nope"}`,
 		`{"rows":[{"` + num + `": "\q"}]}`,
 		`{"rows":[{"` + num + `": "\u12"}]}`,
+		`{"rows":[]} x`,                       // data after the object
+		`{"rows":[],}`,                        // trailing comma
+		`{"rows":[{"` + num + `": 1,}]}`,      // trailing comma in a row
+		`{"rows":[{"` + num + `": 012}]}`,     // leading zero
+		`{"rows":[{"` + num + `": 1.}]}`,      // no fraction digits
+		`{"rows":[{"` + num + `": "1e999"}]}`, // out of range
+		`{"rows":[{"` + num + `": "1\u0000"}]}`,
+		`{"rows":[], "x":` + strings.Repeat("[", maxNesting) + strings.Repeat("]", maxNesting) + `}`,
 	}
 	for _, body := range bad {
 		b := m.GetBlock()
@@ -214,6 +249,139 @@ func TestDecodeEquivalentPredictions(t *testing.T) {
 	for r, p := range mf.Predict(parsed) {
 		if got := m.Classes()[res.Class(r)]; got != p.Class {
 			t.Fatalf("row %d: %q != %q", r, got, p.Class)
+		}
+	}
+}
+
+// referenceDecode is the contract DecodeRequest keeps, written the slow,
+// obvious way: decode the body with encoding/json, apply the request
+// shape's value rules (rows an array of objects; strings, numbers and nulls
+// as cells, booleans only for categorical columns; an integer max_depth),
+// then call AppendRow per row.
+func referenceDecode(m *Model, b *RowBlock, body []byte, maxRows int) (int, error) {
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(body, &env); err != nil {
+		return 0, err
+	}
+	rawRows, ok := env["rows"]
+	if !ok {
+		return 0, errors.New("no rows")
+	}
+	depth := 0
+	if raw, ok := env["max_depth"]; ok {
+		n, ok := decodeAny(raw).(json.Number)
+		if !ok {
+			return 0, errors.New("max_depth is not a number")
+		}
+		d, err := strconv.Atoi(string(n))
+		if err != nil {
+			return 0, err
+		}
+		depth = d
+	}
+	var rows []json.RawMessage
+	if rawRows[0] != '[' {
+		return 0, errors.New("rows is not an array")
+	}
+	if err := json.Unmarshal(rawRows, &rows); err != nil {
+		return 0, err
+	}
+	if maxRows > 0 && len(rows) > maxRows {
+		return 0, ErrTooManyRows
+	}
+	s := m.Schema()
+	for _, raw := range rows {
+		cells, ok := decodeAny(raw).(map[string]any)
+		if !ok {
+			return 0, errors.New("row is not an object")
+		}
+		strs := make(map[string]string)
+		for ci, name := range s.Names {
+			v, ok := cells[name]
+			if ci == s.Target || !ok {
+				continue
+			}
+			switch v := v.(type) {
+			case string:
+				strs[name] = v
+			case json.Number:
+				strs[name] = string(v)
+			case nil:
+			case bool:
+				if s.Kinds[ci] != dataset.Categorical {
+					return 0, errors.New("boolean for a numeric column")
+				}
+				strs[name] = strconv.FormatBool(v)
+			default:
+				return 0, errors.New("cell is not a scalar")
+			}
+		}
+		if err := m.AppendRow(b, strs); err != nil {
+			return 0, err
+		}
+	}
+	return depth, nil
+}
+
+// decodeAny decodes one valid JSON value, numbers as json.Number.
+func decodeAny(raw []byte) any {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		panic(err) // raw came out of a successful Unmarshal
+	}
+	return v
+}
+
+// FuzzDecodeRequest is differential: DecodeRequest must accept exactly the
+// bodies referenceDecode accepts, with and without a row cap, and load
+// bit-identical blocks from them. The committed corpus under testdata/fuzz
+// covers repeated keys, escapes, surrogates, invalid UTF-8, number forms,
+// trailing data, nesting and reordered keys.
+func FuzzDecodeRequest(f *testing.F) {
+	spec := synth.Spec{Name: "fuzz", Rows: 300, NumNumeric: 2, NumCategorical: 2,
+		CatLevels: 5, NumClasses: 2, ConceptDepth: 2, Seed: 83}
+	mf, _ := trainForestFile(f, spec, 1, 3)
+	m, err := Compile(mf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"rows":[{"num0":"1.5","num1":-2,"cat0":"L1","cat1":null}],"max_depth":2}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, maxRows := range []int{0, 2} {
+			got, want := m.GetBlock(), m.GetBlock()
+			gd, gerr := m.DecodeRequest(got, body, maxRows)
+			wd, werr := referenceDecode(m, want, body, maxRows)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("maxRows %d: DecodeRequest err %v, reference err %v", maxRows, gerr, werr)
+			}
+			if gerr == nil {
+				if gd != wd {
+					t.Fatalf("max_depth %d != reference %d", gd, wd)
+				}
+				blocksBitEqual(t, got, want)
+			}
+			m.PutBlock(got)
+			m.PutBlock(want)
+		}
+	})
+}
+
+// blocksBitEqual compares two blocks cell for cell, floats by their bits.
+func blocksBitEqual(t *testing.T, a, b *RowBlock) {
+	t.Helper()
+	if a.n != b.n {
+		t.Fatalf("row counts %d != %d", a.n, b.n)
+	}
+	for i, v := range a.nums[:a.n*a.numStride] {
+		if math.Float64bits(v) != math.Float64bits(b.nums[i]) {
+			t.Fatalf("nums[%d]: %v != %v", i, v, b.nums[i])
+		}
+	}
+	for i, c := range a.cats[:a.n*a.catStride] {
+		if c != b.cats[i] {
+			t.Fatalf("cats[%d]: %d != %d", i, c, b.cats[i])
 		}
 	}
 }
